@@ -1,127 +1,60 @@
-"""Hot numeric loops, numba-jitted by default with a pure-numpy fallback.
+"""The iteration kernel behind every trajectory, and the step-size magnitude scan.
 
-The fallback is selected by setting ``OPINION_PURE_NUMPY=1`` in the
-environment (or automatically when numba is not importable).  Both paths
-compute identical quantities; ``benchmarks/bench_kernels.py`` compares them.
+``iterate`` drives any linear update ``x(k+1) = step(x(k))`` (the issue-free
+``M x`` and the issue-coupled ``(M X) C'``) under one stop rule: divergence,
+a step change below ``tol_conv`` for ``window`` consecutive steps, or
+``max_steps``.  Both functions are plain numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY_ENV = "OPINION_PURE_NUMPY"
+# Read by the benchmark harness, which records it in every result file.
+BACKEND = "numpy"
 
 STOP_CONVERGED = 0
 STOP_MAX_STEPS = 1
 STOP_DIVERGED = 2
 
 
-def _env_forced_numpy() -> bool:
-    return os.environ.get(PURE_NUMPY_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
+def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
+    """Apply ``step`` from ``x0`` until the stop rule fires.
 
-
-# The iteration kernels are written jit-compatibly so a single source serves
-# both backends.
-
-
-def _iterate_linear_impl(M, x0, max_steps, tol_conv, window, guard):
-    n = x0.shape[0]
-    out = np.empty((max_steps + 1, n))
-    out[0] = x0
-    streak = 0
+    A state diverges when any entry is non-finite or exceeds ``guard`` in
+    magnitude.  Only the states at multiples of ``stride`` and the last one
+    are kept.  Returns ``(rows, ks, status)``: the kept states stacked along
+    axis 0, their step indices, and a ``STOP_*`` code.
+    """
+    prev = np.array(x0, dtype=float)
+    rows, ks = [prev], [0]
     status = STOP_MAX_STEPS
-    steps = max_steps
-    for k in range(max_steps):
-        x = M @ out[k]
-        out[k + 1] = x
-        bad = False
-        diff = 0.0
-        big = 0.0
-        for i in range(n):
-            v = x[i]
-            if not np.isfinite(v):
-                bad = True
-            a = abs(v)
-            if a > big:
-                big = a
-            d = abs(v - out[k, i])
-            if d > diff:
-                diff = d
-        if bad or big > guard:
+    streak = 0
+    for k in range(1, max_steps + 1):
+        cur = step(prev)
+        if not np.abs(cur).max() <= guard:
             status = STOP_DIVERGED
-            steps = k + 1
             break
-        if diff < tol_conv:
+        if np.abs(cur - prev).max() < tol_conv:
             streak += 1
             if streak >= window:
                 status = STOP_CONVERGED
-                steps = k + 1
                 break
         else:
             streak = 0
-    return out[: steps + 1], status
+        if k % stride == 0:
+            rows.append(cur)
+            ks.append(k)
+        prev = cur
+    if ks[-1] != k:
+        rows.append(cur)
+        ks.append(k)
+    return np.stack(rows), np.array(ks), status
 
 
-def _iterate_coupled_impl(M, Ct, X0, max_steps, tol_conv, window, guard):
-    # State is (agents, issues); one step is X <- (M X) C' with Ct = C'.
-    na = X0.shape[0]
-    ni = X0.shape[1]
-    out = np.empty((max_steps + 1, na, ni))
-    out[0] = X0
-    streak = 0
-    status = STOP_MAX_STEPS
-    steps = max_steps
-    for k in range(max_steps):
-        X = (M @ out[k]) @ Ct
-        out[k + 1] = X
-        bad = False
-        diff = 0.0
-        big = 0.0
-        for i in range(na):
-            for j in range(ni):
-                v = X[i, j]
-                if not np.isfinite(v):
-                    bad = True
-                a = abs(v)
-                if a > big:
-                    big = a
-                d = abs(v - out[k, i, j])
-                if d > diff:
-                    diff = d
-        if bad or big > guard:
-            status = STOP_DIVERGED
-            steps = k + 1
-            break
-        if diff < tol_conv:
-            streak += 1
-            if streak >= window:
-                status = STOP_CONVERGED
-                steps = k + 1
-                break
-        else:
-            streak = 0
-    return out[: steps + 1], status
-
-
-def _scan_magnitude_nb_impl(rhos, lams, eps, eps_is_rho):
-    out = np.empty(rhos.shape[0])
-    for i in range(rhos.shape[0]):
-        r = rhos[i]
-        e = r if eps_is_rho else eps
-        worst = 0.0
-        for j in range(lams.shape[0]):
-            lam = lams[j]
-            m = abs(1.0 - r * lam + e * r * lam * lam)
-            if m > worst:
-                worst = m
-        out[i] = worst
-    return out
-
-
-def scan_magnitude_numpy(rhos, lams, eps, eps_is_rho):
-    """Vectorized fallback for the step-size magnitude scan."""
+def scan_magnitude(rhos, lams, eps, eps_is_rho):
+    """Worst ``|1 - rho*lam + eps*rho*lam^2|`` over ``lams`` for each ``rho``;
+    ``eps_is_rho`` makes ``eps`` track ``rho``."""
     r = np.asarray(rhos, dtype=float)[:, None]
     lam = np.asarray(lams, dtype=complex)[None, :]
     e = r if eps_is_rho else eps
@@ -129,35 +62,3 @@ def scan_magnitude_numpy(rhos, lams, eps, eps_is_rho):
     if z.shape[1] == 0:
         return np.zeros(r.shape[0])
     return np.abs(z).max(axis=1)
-
-
-iterate_linear_numpy = _iterate_linear_impl
-iterate_coupled_numpy = _iterate_coupled_impl
-
-if _env_forced_numpy():
-    BACKEND = "numpy"
-else:
-    try:
-        from numba import njit
-    except ImportError:  # numba is optional (the `jit` extra)
-        BACKEND = "numpy"
-    else:
-        BACKEND = "numba"
-
-if BACKEND == "numba":
-    iterate_linear = njit(cache=True)(_iterate_linear_impl)
-    iterate_coupled = njit(cache=True)(_iterate_coupled_impl)
-    scan_magnitude = njit(cache=True)(_scan_magnitude_nb_impl)
-else:
-    iterate_linear = iterate_linear_numpy
-    iterate_coupled = iterate_coupled_numpy
-    scan_magnitude = scan_magnitude_numpy
-
-
-def warmup() -> str:
-    """Trigger jit compilation on toy inputs; returns the active backend."""
-    M = np.eye(2)
-    iterate_linear(M, np.ones(2), 3, 1e-12, 2, 1e12)
-    iterate_coupled(M, np.eye(2), np.ones((2, 2)), 3, 1e-12, 2, 1e12)
-    scan_magnitude(np.array([0.1]), np.array([1.0 + 0j]), 0.0, True)
-    return BACKEND

@@ -82,16 +82,7 @@ def step_issue_free(sys: SystemSpec, state: OpinionState) -> OpinionState:
     return OpinionState(xi=xi, z=sys.appraisal @ xi, k=state.k + 1)
 
 
-def _package(xis, z_series, status, stride: int) -> Trajectory:
-    ks = np.arange(xis.shape[0])
-    if stride > 1:
-        keep = np.zeros(xis.shape[0], dtype=bool)
-        keep[::stride] = True
-        keep[-1] = True
-        xis = xis[keep]
-        ks = ks[keep]
-        if z_series is not None:
-            z_series = z_series[keep]
+def _package(xis, ks, z_series, status) -> Trajectory:
     flat = xis.reshape(xis.shape[0], -1)
     spread = flat.max(axis=1) - flat.min(axis=1)
     return Trajectory(
@@ -101,6 +92,13 @@ def _package(xis, z_series, status, stride: int) -> Trajectory:
         stop_reason=_STOP_NAMES[status],
         spread_series=spread,
     )
+
+
+def _check_counts(max_steps: int, stride: int) -> None:
+    if max_steps < 1:
+        raise ValidationError("max_steps must be at least 1")
+    if stride < 1:
+        raise ValidationError("stride must be at least 1")
 
 
 def run(
@@ -113,20 +111,20 @@ def run(
     stride: int = 1,
 ) -> Trajectory:
     """Iterate the issue-free system until the step change stays below
-    ``tol_conv`` for ``window`` consecutive steps, divergence, or ``max_steps``."""
+    ``tol_conv`` for ``window`` consecutive steps, divergence, or ``max_steps``.
+
+    Only every ``stride``-th state and the last one are stored."""
     xi0 = np.asarray(xi0, dtype=float).reshape(-1)
     if xi0.shape[0] != sys.n_agents:
         raise ValidationError(
             f"initial opinions have length {xi0.shape[0]}, expected {sys.n_agents}"
         )
-    if max_steps < 1:
-        raise ValidationError("max_steps must be at least 1")
+    _check_counts(max_steps, stride)
     M = sys.iteration_matrix()
-    xis, status = _kernels.iterate_linear(
-        M, xi0, int(max_steps), float(tol_conv), int(window), float(overflow_guard)
+    xis, ks, status = _kernels.iterate(
+        lambda x: M @ x, xi0, int(max_steps), tol_conv, window, overflow_guard, stride
     )
-    z_series = xis @ sys.appraisal.T
-    return _package(xis, z_series, status, stride)
+    return _package(xis, ks, xis @ sys.appraisal.T, status)
 
 
 def run_multi_issue(
@@ -152,16 +150,19 @@ def run_multi_issue(
             f"initial opinions have length {xi0.shape[0]}, expected {n * m} "
             f"({n} agents x {m} issues)"
         )
-    if max_steps < 1:
-        raise ValidationError("max_steps must be at least 1")
+    _check_counts(max_steps, stride)
     M = sys.iteration_matrix()
     Ct = np.ascontiguousarray(sys.mids.T)
-    X0 = xi0.reshape(n, m)
-    states, status = _kernels.iterate_coupled(
-        M, Ct, X0, int(max_steps), float(tol_conv), int(window), float(overflow_guard)
+    states, ks, status = _kernels.iterate(
+        lambda X: (M @ X) @ Ct,
+        xi0.reshape(n, m),
+        int(max_steps),
+        tol_conv,
+        window,
+        overflow_guard,
+        stride,
     )
-    xis = states.reshape(states.shape[0], n * m)
-    return _package(xis, None, status, stride)
+    return _package(states.reshape(states.shape[0], n * m), ks, None, status)
 
 
 def disagreement_series(traj: Trajectory, report) -> np.ndarray:

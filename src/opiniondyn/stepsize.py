@@ -141,21 +141,15 @@ def magnitude_samples(
         rho_max = default_rho_max(capping)
     count = max(1, int(np.floor(rho_max / grid_step + 1e-9)))
     rhos = grid_step * np.arange(1, count + 1)
-    mags = scan_magnitude(rhos, np.ascontiguousarray(lams), eps_val, eps_is_rho)
+    mags = scan_magnitude(rhos, lams, eps_val, eps_is_rho)
     return rhos, mags, lams, eps_val, eps_is_rho, float(rho_max)
-
-
-def _worst_magnitude(rho: float, lams: np.ndarray, eps: float, eps_is_rho: bool) -> float:
-    e = rho if eps_is_rho else eps
-    z = 1.0 - rho * lams + e * rho * lams * lams
-    return float(np.abs(z).max()) if lams.size else 0.0
 
 
 def _refine_boundary(feasible_pt, infeasible_pt, lams, eps, eps_is_rho) -> float:
     lo, hi = feasible_pt, infeasible_pt
     while abs(hi - lo) > ENDPOINT_TOL:
         mid = 0.5 * (lo + hi)
-        if _worst_magnitude(mid, lams, eps, eps_is_rho) < 1.0:
+        if scan_magnitude(np.array([mid]), lams, eps, eps_is_rho)[0] < 1.0:
             lo = mid
         else:
             hi = mid
@@ -191,7 +185,7 @@ def feasible_rho_direct(
         # left endpoint
         if i == 0:
             probe = rhos[0] * 1e-6
-            if _worst_magnitude(probe, lams, eps_val, eps_is_rho) < 1.0:
+            if scan_magnitude(np.array([probe]), lams, eps_val, eps_is_rho)[0] < 1.0:
                 left = 0.0
             else:
                 left = _refine_boundary(rhos[0], probe, lams, eps_val, eps_is_rho)
@@ -472,7 +466,7 @@ def hb_step_check(L, rho: float, theta_points: int = 720) -> StepSizeDiagnostics
         hb_ok = hb_ok and (f_val > 0.0) and clear
         records.append(EigenStepRecord(lam, float(mag), f_val, excluded))
     hb_ok = bool(hb_ok)
-    direct = bool(_worst_magnitude(rho, lams, 0.0, True) < 1.0) if lams.size else True
+    direct = bool(scan_magnitude(np.array([rho]), lams, 0.0, True)[0] < 1.0)
     if hb_ok != direct:
         logger.info(
             "certificate and direct magnitude test disagree at rho=%.6g "

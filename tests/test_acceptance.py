@@ -10,7 +10,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from opiniondyn import _kernels
 from opiniondyn import fixtures as fx
 from opiniondyn.cli import reproduce
 from opiniondyn.estimate import (
@@ -62,11 +61,6 @@ from test_stepsize import (
     _roots,
     random_symmetric_laplacian,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 @contextmanager

@@ -1,13 +1,8 @@
-"""Backend parity: the jitted kernels and the numpy fallbacks must agree.
+"""The iteration kernel and the magnitude scan against independent references.
 
-Without numba both routes are the same function, so each parity test also
-checks the active kernel against an independent reference that holds on
-either backend.
+``_check_run`` replays the documented stop rule on a run, and the scan is
+compared with a plain-loop evaluation of the same formula.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 
@@ -33,9 +28,26 @@ def _check_run(xs, st, x0, step, max_steps, tol_conv, window, guard):
     assert (len(xs), st) == (steps + 1, status)
 
 
-def test_backend_is_active_and_warm():
-    assert k.warmup() == k.BACKEND
-    assert k.BACKEND in ("numba", "numpy")
+def _iterate_all(step, x0, *args):
+    """Run the kernel keeping every state (stride 1)."""
+    xs, ks, st = k.iterate(step, x0, *args, 1)
+    np.testing.assert_array_equal(ks, np.arange(len(xs)))
+    return xs, st
+
+
+def _scan_magnitude_loop(rhos, lams, eps, eps_is_rho):
+    out = np.empty(rhos.shape[0])
+    for i in range(rhos.shape[0]):
+        r = rhos[i]
+        e = r if eps_is_rho else eps
+        worst = 0.0
+        for j in range(lams.shape[0]):
+            lam = lams[j]
+            m = abs(1.0 - r * lam + e * r * lam * lam)
+            if m > worst:
+                worst = m
+        out[i] = worst
+    return out
 
 
 def test_iterate_linear_parity():
@@ -44,25 +56,29 @@ def test_iterate_linear_parity():
         n = int(rng.integers(2, 7))
         M = np.eye(n) + rng.standard_normal((n, n)) * 0.1
         x0 = rng.uniform(-5, 5, n)
-        args = (M, x0, 50, 1e-8, 3, 1e12)
-        xs_a, st_a = k.iterate_linear(*args)
-        xs_b, st_b = k.iterate_linear_numpy(*args)
-        _check_run(xs_a, st_a, x0, lambda x: M @ x, *args[2:])
-        assert st_a == st_b
-        assert xs_a.shape == xs_b.shape
-        np.testing.assert_allclose(xs_a, xs_b, atol=1e-12)
+        args = (50, 1e-8, 3, 1e12)
+        xs, st = _iterate_all(lambda x: M @ x, x0, *args)
+        _check_run(xs, st, x0, lambda x: M @ x, *args)
 
 
 def test_iterate_linear_statuses():
     for scale, args, expected in (
         (0.5, (500, 1e-12, 5, 1e12), k.STOP_CONVERGED),
         (3.0, (500, 1e-12, 5, 1e6), k.STOP_DIVERGED),
+        (np.nan, (500, 1e-12, 5, 1e12), k.STOP_DIVERGED),
         (1.0, (3, -1.0, 5, 1e12), k.STOP_MAX_STEPS),
     ):
         M = np.eye(2) * scale
-        xs, st = k.iterate_linear(M, np.ones(2), *args)
+        xs, st = _iterate_all(lambda x: M @ x, np.ones(2), *args)
         assert st == expected
         _check_run(xs, st, np.ones(2), lambda x: M @ x, *args)
+
+
+def test_large_step_resets_the_convergence_streak():
+    incs = iter([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    xs, st = _iterate_all(lambda x: x + next(incs), np.zeros(1), 7, 0.5, 3, 1e12)
+    assert st == k.STOP_CONVERGED
+    np.testing.assert_array_equal(xs[:, 0], [0, 0, 0, 1, 1, 1, 1])
 
 
 def test_iterate_coupled_parity():
@@ -73,12 +89,9 @@ def test_iterate_coupled_parity():
         M = np.eye(n) + rng.standard_normal((n, n)) * 0.1
         Ct = rng.standard_normal((p, p)) * 0.4
         X0 = rng.uniform(-3, 3, (n, p))
-        args = (M, Ct, X0, 40, 1e-8, 3, 1e12)
-        xs_a, st_a = k.iterate_coupled(*args)
-        xs_b, st_b = k.iterate_coupled_numpy(*args)
-        _check_run(xs_a, st_a, X0, lambda X: (M @ X) @ Ct, *args[3:])
-        assert st_a == st_b
-        np.testing.assert_allclose(xs_a, xs_b, atol=1e-12)
+        args = (40, 1e-8, 3, 1e12)
+        xs, st = _iterate_all(lambda X: (M @ X) @ Ct, X0, *args)
+        _check_run(xs, st, X0, lambda X: (M @ X) @ Ct, *args)
 
 
 def test_scan_parity():
@@ -87,55 +100,11 @@ def test_scan_parity():
     lams = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     for eps, eps_is_rho in ((0.0, True), (0.3, False)):
         a = k.scan_magnitude(rhos, lams, eps, eps_is_rho)
-        b = k.scan_magnitude_numpy(rhos, lams, eps, eps_is_rho)
-        np.testing.assert_allclose(a, b, atol=1e-13)
-        # The loop source of the jitted scan, run as plain Python.
-        ref = k._scan_magnitude_nb_impl(rhos, lams, eps, eps_is_rho)
+        ref = _scan_magnitude_loop(rhos, lams, eps, eps_is_rho)
         np.testing.assert_allclose(a, ref, atol=1e-13)
 
 
 def test_scan_empty_spectrum():
     rhos = np.array([0.5, 1.0])
-    out = k.scan_magnitude_numpy(rhos, np.empty(0, dtype=complex), 0.0, True)
+    out = k.scan_magnitude(rhos, np.empty(0, dtype=complex), 0.0, True)
     np.testing.assert_array_equal(out, [0.0, 0.0])
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, **{k.PURE_NUMPY_ENV: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c", "import opiniondyn._kernels as k; print(k.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-_PROBE_BACKEND = """
-import opiniondyn._kernels as k
-try:
-    import numba
-except ImportError:
-    has_numba = False
-else:
-    has_numba = True
-print(k.BACKEND, has_numba)
-"""
-
-
-def test_default_backend_is_numba_when_available():
-    # Without the env flag the backend is numba when numba imports and numpy
-    # otherwise.  Availability is decided by importing, not by find_spec: a
-    # numba built against another numpy is found but fails to import, and the
-    # kernels then rightly fall back to numpy.
-    env = {key: val for key, val in os.environ.items() if key != k.PURE_NUMPY_ENV}
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE_BACKEND],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    backend, has_numba = out.stdout.split()
-    assert backend == ("numba" if has_numba == "True" else "numpy")

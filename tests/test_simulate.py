@@ -128,12 +128,15 @@ class TestRun:
         full = run(sec5_coop.system, sec5_coop.x0, max_steps=100, tol_conv=0.0)
         thin = run(sec5_coop.system, sec5_coop.x0, max_steps=100, tol_conv=0.0, stride=7)
         assert list(thin.ks) == sorted(set(range(0, 101, 7)) | {100})
-        np.testing.assert_array_equal(thin.xi_series[0], full.xi_series[0])
-        np.testing.assert_array_equal(thin.xi_series[-1], full.xi_series[-1])
+        np.testing.assert_array_equal(thin.xi_series, full.xi_series[thin.ks])
+        np.testing.assert_array_equal(thin.z_series, full.z_series[thin.ks])
+        np.testing.assert_array_equal(thin.spread_series, full.spread_series[thin.ks])
 
     def test_dimension_validation(self, example1):
         with pytest.raises(ValidationError):
             run(example1.system, [1.0, 2.0])
+        with pytest.raises(ValidationError):
+            run(example1.system, example1.x0, stride=0)
 
 
 class TestMultiIssue:
@@ -197,11 +200,22 @@ class TestMultiIssue:
                 x = K @ x
                 np.testing.assert_allclose(traj.xi_series[k + 1], x, atol=1e-12)
 
+    def test_stride_thinning(self, sec5_coop):
+        spec = sec5_coop.with_mids()
+        full = run_multi_issue(spec, fx.X0_MULTI, max_steps=60, tol_conv=0.0)
+        thin = run_multi_issue(spec, fx.X0_MULTI, max_steps=60, tol_conv=0.0, stride=8)
+        assert list(thin.ks) == sorted(set(range(0, 61, 8)) | {60})
+        np.testing.assert_array_equal(thin.xi_series, full.xi_series[thin.ks])
+        np.testing.assert_array_equal(thin.spread_series, full.spread_series[thin.ks])
+        assert thin.z_series is None
+
     def test_dimension_validation(self, sec5_coop):
         with pytest.raises(ValidationError):
             run_multi_issue(sec5_coop.with_mids(), np.zeros(4))
         with pytest.raises(ValidationError):
             run_multi_issue(sec5_coop.system, np.zeros(8))
+        with pytest.raises(ValidationError):
+            run_multi_issue(sec5_coop.with_mids(), fx.X0_MULTI, stride=0)
 
 
 class TestDisagreement:
