@@ -1,10 +1,13 @@
 """Scenario-based identification of the private appraisal matrix.
 
 From i.i.d. one-step opinion pairs and the known susceptibility/Laplacian
-pair, the appraisal weights enter linearly through a Kronecker regressor, so
-the residual program reduces to least squares.  The module also carries the
-try-once-grow sampling loop, exact binomial-tail sample-size bounds, and a
-Monte-Carlo check of the violation probability.
+pair, the appraisal weights enter linearly: the stacked residual is
+``r + (prev ⊗ K) vec(D)`` with ``K = diag(lambda) L``, so the residual program
+reduces to least squares.  Its minimum-norm solution has Penrose's closed
+form ``D = -K⁺ Rᵀ (prevᵀ)⁺``, solved here from the SVDs of the two Kronecker
+factors without building the ``(m·n)×n²`` regressor.  The module also
+carries the try-once-grow sampling loop, exact binomial-tail sample-size
+bounds, and a Monte-Carlo check of the violation probability.
 
 A structural caution that shapes the outputs here: the Laplacian annihilates
 the all-ones vector, so the data can never distinguish the true appraisal
@@ -103,14 +106,24 @@ def unvec(v, p: int, q: int) -> np.ndarray:
     return v.reshape((p, q), order="F")
 
 
-def regressor(xi_prev, lam, L) -> np.ndarray:
-    """Kronecker regressor mapping vec(D) to Lambda L D xi for one observation."""
-    xi_prev = as_vector(xi_prev, "xi_prev")
-    lam = as_vector(lam, "lambda")
-    L = as_matrix(L, "laplacian")
-    if not (xi_prev.size == lam.size == L.shape[0]):
-        raise ValidationError("regressor inputs have inconsistent dimensions")
-    return np.kron(xi_prev[None, :], lam[:, None] * L)
+def _draw_rows(M: np.ndarray, seed: int, rows: range, box: float, noise: float):
+    """Rows ``rows`` of the scenario draw: row t comes from substream t of ``seed``.
+
+    Substream t is ``SeedSequence(seed).spawn(m)[t]`` for any m > t, so a row
+    does not depend on how many rows are drawn.  Each next row is the product
+    ``M @ prev[t]`` on its own; a stacked ``prev @ M.T`` would round rows
+    differently as m grows and break the prefix property.
+    """
+    n = M.shape[0]
+    prev = np.empty((len(rows), n))
+    nxt = np.empty((len(rows), n))
+    for i, t in enumerate(rows):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        prev[i] = rng.uniform(-box, box, n)
+        nxt[i] = M @ prev[i]
+        if noise:
+            nxt[i] += rng.uniform(-noise, noise, n)
+    return prev, nxt
 
 
 def draw_scenarios(
@@ -127,49 +140,57 @@ def draw_scenarios(
         raise ValidationError("need at least one scenario")
     if box <= 0:
         raise ValidationError("box must be positive")
-    n = truth.n_agents
-    M = truth.iteration_matrix()
-    children = np.random.SeedSequence(seed).spawn(m)
-    prev = np.empty((m, n))
-    nxt = np.empty((m, n))
-    for t, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        prev[t] = rng.uniform(-box, box, n)
-        nxt[t] = M @ prev[t]
-        if noise:
-            nxt[t] += rng.uniform(-noise, noise, n)
+    prev, nxt = _draw_rows(truth.iteration_matrix(), seed, range(m), box, noise)
     return ScenarioSet(prev=prev, next=nxt, seed=int(seed), box=float(box))
+
+
+def _coupling(scen: ScenarioSet, lam, L) -> np.ndarray:
+    """``K = diag(lambda) L``, checked against the scenario dimension."""
+    lam = as_vector(lam, "lambda")
+    L = as_matrix(L, "laplacian")
+    n = scen.n_agents
+    if lam.size != n or L.shape[0] != n:
+        raise ValidationError(
+            f"scenario dimension {n} does not match lambda ({lam.size}) / "
+            f"laplacian ({L.shape[0]})"
+        )
+    return lam[:, None] * L
+
+
+def _mean_sq_residual(scen: ScenarioSet, K: np.ndarray, D: np.ndarray) -> float:
+    E = scen.next - scen.prev + scen.prev @ (K @ D).T
+    return float(np.mean(np.sum(E * E, axis=1)))
 
 
 def residual_level(scen: ScenarioSet, lam, L, zeta) -> float:
     """Mean squared residual of a candidate vec(D) on a scenario set."""
-    lam = as_vector(lam, "lambda")
-    L = as_matrix(L, "laplacian")
-    K = lam[:, None] * L
-    D = unvec(zeta, scen.n_agents, scen.n_agents)
-    X = scen.next - scen.prev + scen.prev @ (K @ D).T
-    return float(np.mean(np.sum(X * X, axis=1)))
+    K = _coupling(scen, lam, L)
+    return _mean_sq_residual(scen, K, unvec(zeta, scen.n_agents, scen.n_agents))
 
 
 def solve_estimation(scen: ScenarioSet, lam, L) -> EstimationResult:
     """Minimize the mean squared one-step residual over vec(D) by least squares.
 
-    When the stacked regressor is column-rank deficient (it always is by at
-    least N, see the module note) the minimum-norm candidate is returned and
-    flagged non-unique.
+    With ``K = U_K S_K V_Kᵀ`` and ``prev = U_P S_P V_Pᵀ``, the singular values
+    of the stacked regressor ``prev ⊗ K`` are the products ``s_K[i]·s_P[j]``.
+    Products at or below ``SV_RCOND`` times the largest are cut, which is the
+    cut LAPACK's least-squares driver makes on the stacked matrix at that
+    ``rcond``, and the rank is the number kept.  When it falls short of N²
+    (it always does by at least N, see the module note) the minimum-norm
+    candidate is returned and flagged non-unique.
     """
-    lam = as_vector(lam, "lambda")
-    L = as_matrix(L, "laplacian")
+    K = _coupling(scen, lam, L)
     n = scen.n_agents
-    if lam.size != n or L.shape[0] != n:
-        raise ValidationError("scenario dimension does not match lambda/laplacian")
-    K = lam[:, None] * L
-    A = np.vstack([np.kron(scen.prev[t][None, :], K) for t in range(scen.m)])
-    r = (scen.next - scen.prev).reshape(-1)
-    zeta, _, rank, _ = np.linalg.lstsq(A, -r, rcond=SV_RCOND)
-    resid = r + A @ zeta
-    gamma = float(np.mean(np.sum(resid.reshape(scen.m, n) ** 2, axis=1)))
-    unique = int(rank) == n * n
+    R = scen.next - scen.prev
+    U_k, s_k, Vt_k = np.linalg.svd(K)
+    U_p, s_p, Vt_p = np.linalg.svd(scen.prev, full_matrices=False)
+    s = np.outer(s_k, s_p)
+    keep = s > SV_RCOND * s.max()
+    C = np.zeros_like(s)
+    np.divide(-(U_k.T @ R.T @ U_p), s, out=C, where=keep)
+    d_hat = Vt_k.T @ C @ Vt_p
+    rank = int(np.count_nonzero(keep))
+    unique = rank == n * n
     if not unique:
         logger.info(
             "estimation regressor rank %d < %d unknowns; returning the minimum-norm "
@@ -178,11 +199,11 @@ def solve_estimation(scen: ScenarioSet, lam, L) -> EstimationResult:
             n * n,
         )
     return EstimationResult(
-        zeta_hat=zeta,
-        d_hat=unvec(zeta, n, n),
-        gamma_star=gamma,
+        zeta_hat=vec(d_hat),
+        d_hat=d_hat,
+        gamma_star=_mean_sq_residual(scen, K, d_hat),
         m_used=scen.m,
-        rank=int(rank),
+        rank=rank,
         unique=unique,
     )
 
@@ -198,16 +219,21 @@ def grow_sample_estimate(
 ) -> tuple[int, EstimationResult]:
     """Grow the scenario set one sample at a time until the residual target holds.
 
-    Earlier samples are kept on every growth step; fails when the cap is
-    reached with the residual still above ``gamma0``.
+    Earlier samples are kept on every growth step and each is drawn once, so
+    the set at size m equals ``draw_scenarios(truth, m, seed, box, noise)``;
+    fails when the cap is reached with the residual still above ``gamma0``.
     """
     if gamma0 <= 0:
         raise ValidationError("gamma0 must be positive")
     if not 1 <= m0 <= m_cap:
         raise ValidationError("need 1 <= m0 <= m_cap")
+    if box <= 0:
+        raise ValidationError("box must be positive")
+    M = truth.iteration_matrix()
+    prev, nxt = _draw_rows(M, seed, range(m0), box, noise)
     m = m0
     while True:
-        scen = draw_scenarios(truth, m, seed, box=box, noise=noise)
+        scen = ScenarioSet(prev=prev, next=nxt, seed=int(seed), box=float(box))
         result = solve_estimation(scen, truth.lam, truth.laplacian)
         if result.gamma_star <= gamma0:
             return m, result
@@ -217,6 +243,8 @@ def grow_sample_estimate(
                 f"sample cap m={m_cap}"
             )
         logger.debug("residual %.3e > %.3e at m=%d; appending a scenario", result.gamma_star, gamma0, m)
+        p, q = _draw_rows(M, seed, range(m, m + 1), box, noise)
+        prev, nxt = np.vstack([prev, p]), np.vstack([nxt, q])
         m += 1
 
 
@@ -250,10 +278,25 @@ def sample_bound(query: SampleBoundQuery) -> int:
     """Smallest sample count whose tail value drops below the confidence level."""
     eps, beta = query.epsilon, query.beta
     if query.formula == CAMPI_GARATTI:
-        m = max(1, math.ceil(math.log(beta) / math.log1p(-eps)))
-        while binomial_tail(m, query.d, eps) > beta:
-            m += 1
-        return m
+        # The tail is nonincreasing in m: bracket the answer by doubling from
+        # the d = 1 closed form, then bisect with tail(lo) > beta >= tail(hi).
+        def above(m: int) -> bool:
+            return binomial_tail(m, query.d, eps) > beta
+
+        lo = max(1, math.ceil(math.log(beta) / math.log1p(-eps)))
+        if not above(lo):
+            return lo
+        hi = 2 * lo
+        while above(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                lo = mid
+            else:
+                hi = mid
+        return hi
+    # The paper's tail is not monotone for m < d, so it keeps the scan.
     m = 1
     while paper_tail(m, query.d, eps) > beta:
         m += 1

@@ -1,28 +1,60 @@
 """Appraisal estimation: vectorization identities, least squares, sample bounds."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn.errors import NumericalError, ValidationError
 from opiniondyn.estimate import (
     CAMPI_GARATTI,
     PAPER_LITERAL,
+    SV_RCOND,
     SampleBoundQuery,
+    ScenarioSet,
     binomial_tail,
     draw_scenarios,
     empirical_violation,
     gauge_distance,
     grow_sample_estimate,
     paper_tail,
-    regressor,
     residual_level,
     sample_bound,
     solve_estimation,
     unvec,
     vec,
 )
+from opiniondyn.netcore import as_matrix, as_vector
 
-from conftest import random_consensus_system
+from conftest import (
+    random_consensus_system,
+    random_laplacian,
+    random_spanning_tree_laplacian,
+)
+
+
+def regressor(xi_prev, lam, L) -> np.ndarray:
+    """Kronecker regressor mapping vec(D) to Lambda L D xi for one observation."""
+    xi_prev = as_vector(xi_prev, "xi_prev")
+    lam = as_vector(lam, "lambda")
+    L = as_matrix(L, "laplacian")
+    if not (xi_prev.size == lam.size == L.shape[0]):
+        raise ValidationError("regressor inputs have inconsistent dimensions")
+    return np.kron(xi_prev[None, :], lam[:, None] * L)
+
+
+def kronecker_solve(scen, lam, L):
+    """Oracle: least squares on the stacked (m*n) x n^2 regressor.
+
+    Returns (d_hat, gamma_star, rank) of the minimum-norm solution.
+    """
+    n = scen.n_agents
+    A = np.vstack([regressor(scen.prev[t], lam, L) for t in range(scen.m)])
+    r = (scen.next - scen.prev).reshape(-1)
+    zeta, _, rank, _ = np.linalg.lstsq(A, -r, rcond=SV_RCOND)
+    resid = (r + A @ zeta).reshape(scen.m, n)
+    return unvec(zeta, n, n), float(np.mean(np.sum(resid**2, axis=1))), int(rank)
 
 
 class TestVectorization:
@@ -173,6 +205,83 @@ class TestSolve:
         assert r1.zeta_hat.tobytes() == r2.zeta_hat.tobytes()
         assert r1.gamma_star == r2.gamma_star
 
+    def test_dimension_mismatch_is_a_validation_error(self, sec5_coop):
+        truth = sec5_coop.system
+        scen = draw_scenarios(truth, 6, 2)
+        zeta = vec(truth.appraisal)
+        short_lam = truth.lam[:3]
+        big_L = np.eye(5) - np.ones((5, 5)) / 5
+        for lam, L in ((short_lam, truth.laplacian), (truth.lam, big_L)):
+            with pytest.raises(ValidationError):
+                residual_level(scen, lam, L, zeta)
+            with pytest.raises(ValidationError):
+                solve_estimation(scen, lam, L)
+        res = solve_estimation(scen, truth.lam, truth.laplacian)
+        other = random_consensus_system(np.random.default_rng(3), 3)
+        with pytest.raises(ValidationError):
+            empirical_violation(res, other, trials=2, seed=1)
+
+
+def _two_block_laplacian(rng, n):
+    """Laplacian of two disconnected blocks: no spanning tree, rank <= n - 2."""
+    k = n // 2
+    L = np.zeros((n, n))
+    L[:k, :k] = random_laplacian(rng, k, 0.6)
+    L[k:, k:] = random_laplacian(rng, n - k, 0.6)
+    return L
+
+
+@st.composite
+def _estimation_cases(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 3 * n))
+    noise = draw(st.sampled_from([0.0, 1e-3]))
+    treeless = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = _two_block_laplacian(rng, n) if treeless else random_laplacian(rng, n, 0.5)
+    lam = rng.uniform(0.5, 1.5, n)
+    D = rng.uniform(-1.0, 1.0, (n, n))
+    M = np.eye(n) - lam[:, None] * L @ D
+    prev = rng.uniform(-1.0, 1.0, (m, n))
+    nxt = prev @ M.T + rng.uniform(-noise, noise, (m, n))
+    return ScenarioSet(prev=prev, next=nxt, seed=0, box=1.0), lam, L
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_estimation_cases())
+def test_structured_solve_matches_kronecker_lstsq(case):
+    scen, lam, L = case
+    n = scen.n_agents
+    res = solve_estimation(scen, lam, L)
+    d_ref, gamma_ref, rank_ref = kronecker_solve(scen, lam, L)
+    assert res.rank == rank_ref
+    assert res.unique == (rank_ref == n * n)
+    np.testing.assert_allclose(res.d_hat, d_ref, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(res.zeta_hat, vec(res.d_hat))
+    # Noiseless optima sit at rounding level (~1e-30), where a relative
+    # comparison means nothing; the absolute floor is far below any noisy level.
+    assert math.isclose(res.gamma_star, gamma_ref, rel_tol=1e-10, abs_tol=1e-20)
+
+
+def test_rank_follows_the_singular_value_cut_on_nearly_collinear_samples():
+    # One direction of the samples is shrunk so that its singular-value
+    # products fall either side of SV_RCOND: kept at 1e-7, cut at 1e-13.
+    rng = np.random.default_rng(8)
+    n, m = 5, 9
+    L = random_spanning_tree_laplacian(rng, n)
+    lam = rng.uniform(0.5, 1.5, n)
+    M = np.eye(n) - lam[:, None] * L @ rng.uniform(-1.0, 1.0, (n, n))
+    U, s, Vt = np.linalg.svd(rng.uniform(-1.0, 1.0, (m, n)), full_matrices=False)
+    ranks = {}
+    for squash in (1.0, 1e-7, 1e-13):
+        prev = (U * (s * np.r_[np.ones(n - 1), squash])) @ Vt
+        scen = ScenarioSet(prev=prev, next=prev @ M.T, seed=0, box=1.0)
+        res = solve_estimation(scen, lam, L)
+        assert res.rank == kronecker_solve(scen, lam, L)[2]
+        ranks[squash] = res.rank
+    assert ranks[1.0] == ranks[1e-7] == n * (n - 1)
+    assert ranks[1e-13] == (n - 1) * (n - 1)
+
 
 class TestGrowthLoop:
     def test_noiseless_truth_stops_immediately(self, sec5_coop):
@@ -189,6 +298,25 @@ class TestGrowthLoop:
             grow_sample_estimate(
                 sec5_coop.system, 1e-12, m0=1, m_cap=12, seed=4, noise=1e-2
             )
+
+    @pytest.mark.parametrize("noise, seed", [(0.0, 4), (1e-2, 7)])
+    def test_matches_solving_one_draw_of_the_final_size(self, sec5_coop, noise, seed):
+        truth = sec5_coop.system
+
+        def solve(m):
+            scen = draw_scenarios(truth, m, seed, noise=noise)
+            return solve_estimation(scen, truth.lam, truth.laplacian)
+
+        # A target first met past m0 = 1, so the loop must append samples.
+        gammas = [solve(m).gamma_star for m in range(1, 13)]
+        gamma0 = min(gammas[1:])
+        expected = 1 + next(i for i, g in enumerate(gammas) if g <= gamma0)
+        assert expected > 1
+        m, grown = grow_sample_estimate(truth, gamma0, m0=1, m_cap=12, seed=seed, noise=noise)
+        direct = solve(expected)
+        assert (m, grown.m_used) == (expected, expected)
+        assert grown.d_hat.tobytes() == direct.d_hat.tobytes()
+        assert grown.gamma_star == direct.gamma_star
 
     def test_parameter_validation(self, sec5_coop):
         with pytest.raises(ValidationError):
@@ -213,6 +341,26 @@ class TestSampleBound:
         m = sample_bound(q)
         assert m == 97
         assert binomial_tail(m, 4, 0.1) <= 0.01 < binomial_tail(m - 1, 4, 0.1)
+
+    def test_bisection_matches_linear_scan(self):
+        def scan(d, eps, beta):
+            # For m*eps <= d-1 every median of Bin(m, eps) is <= d-1, so the
+            # tail is >= 1/2 > beta there and the scan may start past it.
+            assert beta < 0.5
+            m = max(1, math.ceil(math.log(beta) / math.log1p(-eps)), math.floor((d - 1) / eps))
+            while binomial_tail(m, d, eps) > beta:
+                m += 1
+            return m
+
+        cases = [
+            (d, e, b)
+            for d in (1, 4, 16)
+            for e in (0.05, 0.1, 0.2, 0.3, 0.4)
+            for b in (0.001, 0.005, 0.01, 0.05, 0.1)
+        ]
+        cases += [(144, 0.1, 0.01), (900, 0.05, 0.01)]
+        for d, e, b in cases:
+            assert sample_bound(SampleBoundQuery(d, e, b)) == scan(d, e, b), (d, e, b)
 
     def test_paper_variant_regression_values(self):
         assert sample_bound(SampleBoundQuery(4, 0.1, 0.01, PAPER_LITERAL)) == 48
