@@ -9,6 +9,14 @@ factors without building the ``(m·n)×n²`` regressor.  The module also
 carries the try-once-grow sampling loop, exact binomial-tail sample-size
 bounds, and a Monte-Carlo check of the violation probability.
 
+The scenario stream contract: row t of a draw from ``seed`` comes from
+substream t, ``np.random.default_rng(np.random.SeedSequence(seed,
+spawn_key=(t,)))``.  On it the n uniforms on ``[-box, box]`` for ``prev``
+come first, then (when ``noise`` is set) the n uniforms on
+``[-noise, noise]`` added to ``next``.  A row therefore never depends on how
+many rows are drawn; :mod:`._streams` draws all rows of a call in one
+vectorized pass with exactly these values.
+
 A structural caution that shapes the outputs here: the Laplacian annihilates
 the all-ones vector, so the data can never distinguish the true appraisal
 matrix from a copy with a constant row vector added (the regressor kernel is
@@ -21,10 +29,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import MAX_KEYS, substream_doubles
 from .errors import NumericalError, ValidationError
 from .netcore import SystemSpec, as_matrix, as_vector
 
@@ -33,6 +44,8 @@ logger = logging.getLogger(__name__)
 SV_RCOND = 1e-10
 CAMPI_GARATTI = "campi_garatti"
 PAPER_LITERAL = "paper_literal"
+# A uniform draw on [-w, w] needs its width 2w finite, as numpy's uniform does.
+_MAX_HALF_WIDTH = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -106,24 +119,44 @@ def unvec(v, p: int, q: int) -> np.ndarray:
     return v.reshape((p, q), order="F")
 
 
-def _draw_rows(M: np.ndarray, seed: int, rows: range, box: float, noise: float):
-    """Rows ``rows`` of the scenario draw: row t comes from substream t of ``seed``.
+def _check_draw(seed, m, box, noise=0.0) -> None:
+    """Reject draw inputs the scenario stream contract does not cover."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(m, numbers.Integral):
+        raise ValidationError(f"scenario count must be an integer, got {m!r}")
+    if m < 1:
+        raise ValidationError("need at least one scenario")
+    if m > MAX_KEYS:
+        raise ValidationError(f"at most {MAX_KEYS} scenarios (one substream each)")
+    if not 0 < box <= _MAX_HALF_WIDTH:
+        raise ValidationError(f"box must be positive and finite, got {box!r}")
+    if not 0 <= noise <= _MAX_HALF_WIDTH:
+        raise ValidationError(f"noise must be non-negative and finite, got {noise!r}")
 
-    Substream t is ``SeedSequence(seed).spawn(m)[t]`` for any m > t, so a row
-    does not depend on how many rows are drawn.  Each next row is the product
-    ``M @ prev[t]`` on its own; a stacked ``prev @ M.T`` would round rows
-    differently as m grows and break the prefix property.
+
+def _draw_rows(M: np.ndarray, seed: int, rows: range, box: float, noise: float):
+    """Rows ``rows`` of the scenario draw, under the module's stream contract.
+
+    Row t is substream t of ``seed``: n uniforms on ``[-box, box]`` for
+    ``prev``, then n on ``[-noise, noise]`` when ``noise`` is set.  The
+    next rows are ``np.matmul(M, prev[:, :, None])``, which multiplies row by
+    row with the same kernel as ``M @ prev[t]``; a stacked ``prev @ M.T``
+    would round rows differently as m grows and break the prefix property.
     """
     n = M.shape[0]
-    prev = np.empty((len(rows), n))
-    nxt = np.empty((len(rows), n))
-    for i, t in enumerate(rows):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-        prev[i] = rng.uniform(-box, box, n)
-        nxt[i] = M @ prev[i]
-        if noise:
-            nxt[i] += rng.uniform(-noise, noise, n)
+    u = substream_doubles(int(seed), rows.start, rows.stop, 2 * n if noise else n)
+    prev = _uniform(u[:, :n], box)
+    nxt = np.matmul(M, prev[:, :, None])[:, :, 0]
+    if noise:
+        nxt += _uniform(u[:, n:], noise)
     return prev, nxt
+
+
+def _uniform(u: np.ndarray, half_width: float) -> np.ndarray:
+    """``Generator.uniform(-half_width, half_width)`` from its doubles ``u``."""
+    low, high = -float(half_width), float(half_width)
+    return low + (high - low) * u
 
 
 def draw_scenarios(
@@ -136,10 +169,7 @@ def draw_scenarios(
     adds a uniform perturbation of that amplitude to the observed next
     opinions (a fixed measurement-error harness; the default is noiseless).
     """
-    if m < 1:
-        raise ValidationError("need at least one scenario")
-    if box <= 0:
-        raise ValidationError("box must be positive")
+    _check_draw(seed, m, box, noise)
     prev, nxt = _draw_rows(truth.iteration_matrix(), seed, range(m), box, noise)
     return ScenarioSet(prev=prev, next=nxt, seed=int(seed), box=float(box))
 
@@ -222,18 +252,23 @@ def grow_sample_estimate(
     Earlier samples are kept on every growth step and each is drawn once, so
     the set at size m equals ``draw_scenarios(truth, m, seed, box, noise)``;
     fails when the cap is reached with the residual still above ``gamma0``.
+    Rows are drawn ahead, to twice the size needed (capped at ``m_cap``), so
+    growth takes O(log m) draws; that changes nothing since rows are
+    prefix-stable.
     """
     if gamma0 <= 0:
         raise ValidationError("gamma0 must be positive")
-    if not 1 <= m0 <= m_cap:
-        raise ValidationError("need 1 <= m0 <= m_cap")
-    if box <= 0:
-        raise ValidationError("box must be positive")
+    _check_draw(seed, m_cap, box, noise)
+    if not isinstance(m0, numbers.Integral) or not 1 <= m0 <= m_cap:
+        raise ValidationError("need integers 1 <= m0 <= m_cap")
     M = truth.iteration_matrix()
-    prev, nxt = _draw_rows(M, seed, range(m0), box, noise)
+    prev = nxt = np.empty((0, M.shape[0]))
     m = m0
     while True:
-        scen = ScenarioSet(prev=prev, next=nxt, seed=int(seed), box=float(box))
+        if m > len(prev):
+            p, q = _draw_rows(M, seed, range(len(prev), min(m_cap, 2 * m)), box, noise)
+            prev, nxt = np.vstack([prev, p]), np.vstack([nxt, q])
+        scen = ScenarioSet(prev=prev[:m], next=nxt[:m], seed=int(seed), box=float(box))
         result = solve_estimation(scen, truth.lam, truth.laplacian)
         if result.gamma_star <= gamma0:
             return m, result
@@ -243,8 +278,6 @@ def grow_sample_estimate(
                 f"sample cap m={m_cap}"
             )
         logger.debug("residual %.3e > %.3e at m=%d; appending a scenario", result.gamma_star, gamma0, m)
-        p, q = _draw_rows(M, seed, range(m, m + 1), box, noise)
-        prev, nxt = np.vstack([prev, p]), np.vstack([nxt, q])
         m += 1
 
 
@@ -313,8 +346,9 @@ def empirical_violation(
     tol: float = 1e-12,
 ) -> float:
     """Fraction of fresh same-size scenario batches whose residual exceeds the level."""
-    if trials < 1:
+    if not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValidationError("need at least one trial")
+    _check_draw(seed, result.m_used, box)
     level = result.gamma_star if gamma_star is None else float(gamma_star)
     children = np.random.SeedSequence(seed).spawn(trials)
     hits = 0

@@ -183,6 +183,22 @@ class TestEstimateAndBounds:
         assert code == 0
         assert json.loads(out.read_text())["gamma_star"] <= 1e-12
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--box", "nan"],
+        ["--box", "inf"],
+        ["--seed", "-1", "--gamma0", "1e-12"],
+        ["--box", "nan", "--gamma0", "1e-12"],
+    ])
+    def test_estimate_bad_draw_exit_code(self, tmp_path, capsys, flags):
+        truth_path = tmp_path / "truth.json"
+        fx.fixture("sec5-coop").system.save_json(truth_path)
+        out = tmp_path / "result.json"
+        code = main(["estimate", "--system", str(truth_path), "--out", str(out)] + flags)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_samplebound_output(self, capsys):
         assert main(["samplebound", "--agents", "2", "--dim", "1",
                      "--eps", "0.1", "--beta", "0.01"]) == 0
@@ -228,6 +244,12 @@ class TestReproduce:
         assert float(np.mean(analysis["phi"])) == pytest.approx(
             report.scalars["predicted_limit"], abs=0
         )
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        code = main(["reproduce", "example-estimation", "--seed", "-1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_cli_entry_and_unknown_name(self, tmp_path, capsys):
         assert main(["reproduce", "fig2b", "--out-dir", str(tmp_path)]) == 0

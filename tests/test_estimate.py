@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opiniondyn import _streams, estimate
 from opiniondyn.errors import NumericalError, ValidationError
 from opiniondyn.estimate import (
     CAMPI_GARATTI,
@@ -119,7 +120,7 @@ class TestScenarios:
         scen = draw_scenarios(sec5_coop.system, 20, 7)
         M = sec5_coop.system.iteration_matrix()
         for t in range(scen.m):
-            np.testing.assert_allclose(scen.next[t], M @ scen.prev[t], atol=1e-12)
+            assert scen.next[t].tobytes() == (M @ scen.prev[t]).tobytes()
 
     def test_growth_preserves_prefix(self, sec5_coop):
         small = draw_scenarios(sec5_coop.system, 4, 13)
@@ -133,6 +134,73 @@ class TestScenarios:
         np.testing.assert_array_equal(noisy.prev, clean.prev)
         delta = np.abs(noisy.next - clean.next)
         assert 0 < delta.max() <= 1e-3
+
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1},
+        {"seed": 1.5},
+        {"m": 2.0},
+        {"m": 2**32 + 1},
+        {"box": float("nan")},
+        {"box": float("inf")},
+        {"box": 1e308},
+        {"noise": -1e-3},
+        {"noise": float("nan")},
+        {"noise": float("inf")},
+    ])
+    def test_rejects_inputs_outside_the_stream_contract(self, sec5_coop, kwargs):
+        args = {"m": 4, "seed": 1, "box": 1.0, "noise": 0.0, **kwargs}
+        with pytest.raises(ValidationError):
+            draw_scenarios(sec5_coop.system, **args)
+        m = args.pop("m")
+        with pytest.raises(ValidationError):
+            grow_sample_estimate(sec5_coop.system, 1e-12, m0=1, m_cap=m, **args)
+
+
+def _oracle_rows(M, seed, rows, box, noise):
+    """The per-row reference: one SeedSequence and Generator per substream."""
+    prev, nxt = [], []
+    for t in rows:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        prev.append(rng.uniform(-box, box, M.shape[0]))
+        nxt.append(M @ prev[-1])
+        if noise:
+            nxt[-1] += rng.uniform(-noise, noise, M.shape[0])
+    return np.array(prev), np.array(nxt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+        st.integers(0, 2**64),
+        st.integers(2**128 + 1, 2**200),
+    ),
+    t_end=st.one_of(st.just(2**32), st.integers(1, 2**32)),
+    count=st.integers(1, 4),
+    n=st.integers(1, 24),
+    box=st.sampled_from([1.0, 0.5, 3.75, 1e-3, 1e300]),
+    noise=st.sampled_from([0.0, 1e-3, 0.25, 2.0]),
+)
+def test_drawer_matches_the_per_row_generator_oracle(seed, t_end, count, n, box, noise):
+    rows = range(max(0, t_end - count), t_end)
+    M = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    prev, nxt = estimate._draw_rows(M, seed, rows, box, noise)
+    ref_prev, ref_next = _oracle_rows(M, seed, rows, box, noise)
+    assert prev.tobytes() == ref_prev.tobytes()
+    assert nxt.tobytes() == ref_next.tobytes()
+
+
+def test_drawer_is_seamless_across_blocks():
+    # With noise, n = 24 takes 48 doubles per row: the drawer splits a draw
+    # of 2 * step + 10 rows into three blocks.
+    n = 24
+    step = _streams._BLOCK // (2 * n)
+    M = np.random.default_rng(5).uniform(-1.0, 1.0, (n, n))
+    prev, nxt = estimate._draw_rows(M, 2**70 + 9, range(2 * step + 10), 2.0, 0.5)
+    seams = [0, step - 1, step, 2 * step - 1, 2 * step, 2 * step + 9]
+    ref_prev, ref_next = _oracle_rows(M, 2**70 + 9, seams, 2.0, 0.5)
+    assert prev[seams].tobytes() == ref_prev.tobytes()
+    assert nxt[seams].tobytes() == ref_next.tobytes()
 
 
 class TestSolve:
@@ -318,6 +386,19 @@ class TestGrowthLoop:
         assert grown.d_hat.tobytes() == direct.d_hat.tobytes()
         assert grown.gamma_star == direct.gamma_star
 
+    def test_draws_ahead_in_doubling_blocks(self, sec5_coop, monkeypatch):
+        blocks = []
+        draw_rows = estimate._draw_rows
+
+        def counted(M, seed, rows, box, noise):
+            blocks.append(rows)
+            return draw_rows(M, seed, rows, box, noise)
+
+        monkeypatch.setattr(estimate, "_draw_rows", counted)
+        with pytest.raises(NumericalError):
+            grow_sample_estimate(sec5_coop.system, 1e-12, m0=1, m_cap=12, seed=4, noise=1e-2)
+        assert blocks == [range(0, 2), range(2, 6), range(6, 12)]
+
     def test_parameter_validation(self, sec5_coop):
         with pytest.raises(ValidationError):
             grow_sample_estimate(sec5_coop.system, 0.0)
@@ -418,6 +499,10 @@ class TestViolation:
         res = solve_estimation(draw_scenarios(truth, 4, 0), truth.lam, truth.laplacian)
         with pytest.raises(ValidationError):
             empirical_violation(res, truth, trials=0, seed=1)
+        for kwargs in ({"trials": 2.0, "seed": 1}, {"trials": 2, "seed": -1},
+                       {"trials": 2, "seed": 1, "box": float("nan")}):
+            with pytest.raises(ValidationError):
+                empirical_violation(res, truth, **kwargs)
 
 
 class TestGaugeDistance:
