@@ -29,7 +29,7 @@ from .netcore import (
     spanning_tree_root,
     stochastic_to_laplacian,
 )
-from .simulate import OpinionState, Trajectory, run, run_multi_issue, step_issue_free
+from .simulate import Trajectory, run, run_multi_issue
 from .spectral import (
     LimitPrediction,
     SpectralReport,

@@ -57,8 +57,14 @@ def scan_magnitude(rhos, lams, eps, eps_is_rho):
     ``eps_is_rho`` makes ``eps`` track ``rho``."""
     r = np.asarray(rhos, dtype=float)[:, None]
     lam = np.asarray(lams, dtype=complex)[None, :]
-    e = r if eps_is_rho else eps
-    z = 1.0 - r * lam + e * r * lam * lam
-    if z.shape[1] == 0:
+    if lam.shape[1] == 0:
         return np.zeros(r.shape[0])
+    e = r if eps_is_rho else eps
+    # In place, so that at most two (rhos x lams) temporaries are alive.
+    z = r * lam
+    np.subtract(1.0, z, out=z)
+    quad = e * r * lam
+    quad *= lam
+    z += quad
+    del quad
     return np.abs(z).max(axis=1)

@@ -164,10 +164,7 @@ def _cmd_stepsize(args) -> int:
             "rho": diag.rho,
             "hb_verdict": diag.hb_verdict,
             "direct_verdict": diag.direct_verdict,
-            "f_values": [
-                None if r.f_value is None else float(r.f_value) for r in diag.records
-            ],
-            "magnitudes": [float(r.magnitude) for r in diag.records],
+            "magnitudes": diag.magnitudes.tolist(),
         }
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown method {args.method!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .netcore import SystemSpec
 
 CONVERGED = "converged"
@@ -32,20 +32,10 @@ OVERFLOW_GUARD = 1e12
 
 
 @dataclass(frozen=True)
-class OpinionState:
-    """Opinions ``xi`` (and appraisals ``z`` for issue-free runs) at step ``k``."""
-
-    xi: np.ndarray
-    z: np.ndarray | None
-    k: int
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A stored run: per-step opinions, stop reason, and spread diagnostics."""
 
     xi_series: np.ndarray
-    z_series: np.ndarray | None
     ks: np.ndarray
     stop_reason: str
     spread_series: np.ndarray
@@ -57,37 +47,12 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.xi_series[-1]
 
-    @property
-    def states(self) -> list[OpinionState]:
-        z = self.z_series
-        return [
-            OpinionState(
-                xi=self.xi_series[i],
-                z=None if z is None else z[i],
-                k=int(self.ks[i]),
-            )
-            for i in range(len(self))
-        ]
 
-
-def step_issue_free(sys: SystemSpec, state: OpinionState) -> OpinionState:
-    """One exact issue-free update; raises on non-finite results."""
-    if state.xi.shape[0] != sys.n_agents:
-        raise ValidationError(
-            f"state has {state.xi.shape[0]} opinions for a {sys.n_agents}-agent system"
-        )
-    xi = sys.iteration_matrix() @ state.xi
-    if not np.isfinite(xi).all():
-        raise NumericalError(f"update diverged to non-finite values at step {state.k + 1}")
-    return OpinionState(xi=xi, z=sys.appraisal @ xi, k=state.k + 1)
-
-
-def _package(xis, ks, z_series, status) -> Trajectory:
+def _package(xis, ks, status) -> Trajectory:
     flat = xis.reshape(xis.shape[0], -1)
     spread = flat.max(axis=1) - flat.min(axis=1)
     return Trajectory(
         xi_series=xis,
-        z_series=z_series,
         ks=ks,
         stop_reason=_STOP_NAMES[status],
         spread_series=spread,
@@ -124,7 +89,7 @@ def run(
     xis, ks, status = _kernels.iterate(
         lambda x: M @ x, xi0, int(max_steps), tol_conv, window, overflow_guard, stride
     )
-    return _package(xis, ks, xis @ sys.appraisal.T, status)
+    return _package(xis, ks, status)
 
 
 def run_multi_issue(
@@ -162,7 +127,7 @@ def run_multi_issue(
         overflow_guard,
         stride,
     )
-    return _package(states.reshape(states.shape[0], n * m), ks, None, status)
+    return _package(states.reshape(states.shape[0], n * m), ks, status)
 
 
 def disagreement_series(traj: Trajectory, report) -> np.ndarray:

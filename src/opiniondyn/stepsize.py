@@ -5,9 +5,13 @@ fixed constant or equal to ``rho``), consensus holds exactly when
 ``|1 - rho*lam + e*rho*lam^2| < 1`` for every nonzero Laplacian eigenvalue
 ``lam``.  This module offers four routes to that region: a dense magnitude
 scan (the ground-truth oracle), a closed-form eigenvalue bound for fixed
-``e``, cubic-inequality root isolation for ``e = rho``, and a polynomial
-stability certificate built on the bilinear transform and the
-Hermite-Biehler interlacing test.
+``e``, cubic-inequality root isolation for ``e = rho``, and an exact
+certificate for one step size.  The certificate writes each factor
+``f = 1 - rho*lam + rho^2*lam^2`` as a root of the real quadratic
+``z^2 - 2 Re(f) z + |f|^2`` and checks its bilinear image for Hurwitz
+stability (Jury 1964); the general bilinear-transform and Hermite-Biehler
+chain below handles polynomials of any degree and serves as its oracle.
+Every route checks the spanning tree and computes the spectrum once per call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ MODE_EPS_EQUALS_RHO = "eps_equals_rho"
 
 ENDPOINT_TOL = 1e-9
 RHO_MAX_CAP = 100.0
-EXCLUDED_ROOT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,13 @@ class PolynomialPair:
 
 
 @dataclass(frozen=True)
-class EigenStepRecord:
-    """Per-eigenvalue diagnostics for one candidate step size."""
-
-    eigenvalue: complex
-    magnitude: float
-    f_value: float | None
-    excluded_roots: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepSizeDiagnostics:
+    """Certificate and direct verdict for one step size, with the per-eigenvalue
+    magnitudes ``|1 - rho*lam + rho^2*lam^2|``."""
+
     rho: float
-    records: tuple[EigenStepRecord, ...]
+    eigenvalues: np.ndarray
+    magnitudes: np.ndarray
     hb_verdict: bool
     direct_verdict: bool
 
@@ -95,9 +92,12 @@ def _laplacian(L) -> np.ndarray:
     return L.entries if isinstance(L, InteractingLaplacian) else InteractingLaplacian(L).entries
 
 
-def _require_tree(M: np.ndarray) -> None:
+def _require_tree(L) -> np.ndarray:
+    """Validated Laplacian entries, rejected unless the graph has a rooted spanning tree."""
+    M = _laplacian(L)
     if not has_spanning_tree(M):
         raise ValidationError("the interacting graph has no rooted spanning tree")
+    return M
 
 
 def nonzero_eigenvalues(L) -> np.ndarray:
@@ -105,6 +105,19 @@ def nonzero_eigenvalues(L) -> np.ndarray:
     w = eigen(L if isinstance(L, np.ndarray) else _laplacian(L))
     cut = 1e-9 * max(1.0, float(np.abs(w).max()))
     return w[np.abs(w) > cut]
+
+
+def _checked_spectrum(L) -> np.ndarray:
+    """Nonzero eigenvalues of a Laplacian whose graph has a rooted spanning tree."""
+    return nonzero_eigenvalues(_require_tree(L))
+
+
+def _checked_number(name: str, value, positive: bool = True) -> float:
+    v = float(value)
+    if not np.isfinite(v) or (positive and v <= 0):
+        need = "positive and finite" if positive else "finite"
+        raise ValidationError(f"{name} must be {need}, got {value}")
+    return v
 
 
 def default_rho_max(lams: np.ndarray) -> float:
@@ -122,18 +135,18 @@ def magnitude_samples(
     rho_max: float | None = None,
 ):
     """Sampled (rho, worst eigenvalue magnitude) pairs for plotting or scanning."""
-    M = _laplacian(L)
-    if grid_step <= 0:
-        raise ValidationError("grid_step must be positive")
+    grid_step = _checked_number("grid_step", grid_step)
+    if rho_max is not None:
+        rho_max = _checked_number("rho_max", rho_max)
     if mode == MODE_EPS_FIXED:
         if eps is None:
             raise ValidationError("eps_fixed mode needs an eps value")
-        eps_val, eps_is_rho = float(eps), False
+        eps_val, eps_is_rho = _checked_number("eps", eps, positive=False), False
     elif mode == MODE_EPS_EQUALS_RHO:
         eps_val, eps_is_rho = 0.0, True
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    lams = nonzero_eigenvalues(M)
+    lams = nonzero_eigenvalues(_laplacian(L))
     if rho_max is None:
         # The fixed-eps iteration is affine in rho through the shifted
         # spectrum, so the cap must come from that spectrum.
@@ -164,10 +177,8 @@ def feasible_rho_direct(
     rho_max: float | None = None,
 ) -> FeasibleRegion:
     """Ground-truth region from a dense magnitude scan with bisected endpoints."""
-    M = _laplacian(L)
-    _require_tree(M)
     rhos, mags, lams, eps_val, eps_is_rho, rho_max = magnitude_samples(
-        M, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max
+        _require_tree(L), mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max
     )
     if lams.size == 0:
         return FeasibleRegion(((0.0, rho_max),), "direct_scan", rho_max)
@@ -244,9 +255,7 @@ def epsilon_bounds(lams) -> EpsilonRange:
 
 def epsilon_range(L) -> EpsilonRange:
     """Admissible auxiliary step sizes for a spanning-tree Laplacian."""
-    M = _laplacian(L)
-    _require_tree(M)
-    return epsilon_bounds(nonzero_eigenvalues(M))
+    return epsilon_bounds(_checked_spectrum(L))
 
 
 def feasible_rho_bound(L, eps: float) -> FeasibleRegion:
@@ -256,14 +265,12 @@ def feasible_rho_bound(L, eps: float) -> FeasibleRegion:
     interval (0, min over eigenvalues of 2*Re / |.|^2) of the shifted
     spectrum lam - eps*lam^2.
     """
-    M = _laplacian(L)
-    _require_tree(M)
-    rng = epsilon_range(M)
+    lams = _checked_spectrum(L)
+    rng = epsilon_bounds(lams)
     if not rng.contains(eps):
         raise ValidationError(
             f"eps={eps} is outside the admissible range ({rng.lower}, {rng.upper})"
         )
-    lams = nonzero_eigenvalues(M)
     star = lams - eps * lams * lams
     if star.size == 0:
         return FeasibleRegion(((0.0, RHO_MAX_CAP),), "corollary1", RHO_MAX_CAP)
@@ -381,9 +388,9 @@ def feasible_rho_cubic(
     L, variant: str = "corrected", rho_max: float | None = None
 ) -> FeasibleRegion:
     """Region for the eps = rho iteration via per-eigenvalue cubic root isolation."""
-    M = _laplacian(L)
-    _require_tree(M)
-    lams = nonzero_eigenvalues(M)
+    if rho_max is not None:
+        rho_max = _checked_number("rho_max", rho_max)
+    lams = _checked_spectrum(L)
     if rho_max is None:
         rho_max = default_rho_max(lams)
     region = [(0.0, float(rho_max))]
@@ -395,78 +402,39 @@ def feasible_rho_cubic(
 
 
 # ---------------------------------------------------------------------------
-# Hermite-Biehler certificate for eps = rho
+# exact certificate for eps = rho
 # ---------------------------------------------------------------------------
 
 
-def origin_condition_value(rho: float, lam: complex) -> float:
-    """Sign-determining factor of the interlacing origin condition for one eigenvalue."""
-    a = abs(lam)
-    phi = np.angle(lam)
-    return float(
-        -(rho**3) * a**3
-        + rho**2 * a**2 * np.cos(phi) ** 2
-        - 2.0 * rho * a * np.sin(2.0 * phi)
-        - rho * a
-        + 2.0 * np.cos(phi)
-    )
+def _bilinear_quadratics(f: np.ndarray) -> np.ndarray:
+    """Ascending coefficients, one row per factor ``f``, of the bilinear image of
+    ``S(z) = z^2 + a1 z + a0`` with ``a1 = -2 Re f`` and ``a0 = |f|^2``.
 
-
-def excluded_root_curves(lam: complex, theta_points: int = 720) -> np.ndarray:
-    """Sampled step sizes at which the interlacing roots collide, over the phase grid.
-
-    The collision curves are quadratic in rho; only parameter values with a
-    nonnegative discriminant (a real square root) contribute samples.
+    ``S`` has the roots ``f`` and its conjugate, and
+    ``(z-1)^2 S((z+1)/(z-1)) = (1 - a1 + a0) + 2(1 - a0) z + (1 + a1 + a0) z^2``
+    is :func:`bilinear_transform` at degree 2 in closed form.
     """
-    a = abs(lam)
-    phi = np.angle(lam)
-    theta = np.linspace(0.0, 2.0 * np.pi, theta_points, endpoint=False)
-    chunks = []
-    disc_x = a * a * (np.cos(phi) ** 2 * (8.0 * np.cos(theta) - 7.0) + 4.0 * (1.0 - np.cos(theta)))
-    den_x = 2.0 * a * a * np.cos(2.0 * phi)
-    if abs(den_x) > 1e-12:
-        good = disc_x >= 0.0
-        sq = np.sqrt(disc_x[good])
-        chunks.append((a * np.cos(phi) + sq) / den_x)
-        chunks.append((a * np.cos(phi) - sq) / den_x)
-    disc_y = a * a * (np.sin(phi) ** 2 - 4.0 * np.sin(2.0 * phi) * np.sin(theta))
-    den_y = 2.0 * a * a * np.sin(2.0 * phi)
-    if abs(den_y) > 1e-12:
-        good = disc_y >= 0.0
-        sq = np.sqrt(disc_y[good])
-        chunks.append((a * np.sin(phi) + sq) / den_y)
-        chunks.append((a * np.sin(phi) - sq) / den_y)
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    a1 = -2.0 * f.real
+    a0 = f.real * f.real + f.imag * f.imag
+    return np.stack([1.0 - a1 + a0, 2.0 * (1.0 - a0), 1.0 + a1 + a0], axis=-1)
 
 
-def hb_step_check(L, rho: float, theta_points: int = 720) -> StepSizeDiagnostics:
-    """Interlacing-based consensus certificate for one step size, with diagnostics.
+def hb_step_check(L, rho: float) -> StepSizeDiagnostics:
+    """Exact consensus certificate for one step size of the eps = rho iteration.
 
-    Real eigenvalues contribute the plain bound rho < 1/lam; complex ones
-    need a positive origin value and a step size clear of every sampled root
-    collision.  The direct magnitude verdict is reported alongside as the
-    authoritative cross-check.
+    A real quadratic is Hurwitz exactly when its three coefficients share a
+    strict sign, so rho is certified when the bilinear image for every
+    eigenvalue passes that test, that is when every factor
+    ``f = 1 - rho*lam + rho^2*lam^2`` lies strictly inside the unit disk.
+    The direct verdict, max |f| < 1, is reported alongside.
     """
-    M = _laplacian(L)
-    _require_tree(M)
-    if rho <= 0:
-        raise ValidationError("rho must be positive")
-    lams = nonzero_eigenvalues(M)
-    records = []
-    hb_ok = True
-    for lam in lams:
-        mag = abs(1.0 - rho * lam + rho * rho * lam * lam)
-        if abs(lam.imag) <= 1e-12 * abs(lam):
-            records.append(EigenStepRecord(lam, float(mag), None, np.empty(0)))
-            hb_ok = hb_ok and (lam.real > 0) and (rho < 1.0 / lam.real)
-            continue
-        f_val = origin_condition_value(rho, lam)
-        excluded = excluded_root_curves(lam, theta_points=theta_points)
-        clear = excluded.size == 0 or np.abs(excluded - rho).min() > EXCLUDED_ROOT_MARGIN
-        hb_ok = hb_ok and (f_val > 0.0) and clear
-        records.append(EigenStepRecord(lam, float(mag), f_val, excluded))
-    hb_ok = bool(hb_ok)
-    direct = bool(scan_magnitude(np.array([rho]), lams, 0.0, True)[0] < 1.0)
+    rho = _checked_number("rho", rho)
+    lams = _checked_spectrum(L)
+    f = 1.0 - rho * lams + rho * rho * lams * lams
+    q = _bilinear_quadratics(f)
+    hb_ok = bool(((q > 0.0).all(axis=1) | (q < 0.0).all(axis=1)).all())
+    mags = np.abs(f)
+    direct = bool((mags < 1.0).all())
     if hb_ok != direct:
         logger.info(
             "certificate and direct magnitude test disagree at rho=%.6g "
@@ -475,7 +443,7 @@ def hb_step_check(L, rho: float, theta_points: int = 720) -> StepSizeDiagnostics
             hb_ok,
             direct,
         )
-    return StepSizeDiagnostics(float(rho), tuple(records), hb_ok, direct)
+    return StepSizeDiagnostics(rho, lams, mags, hb_ok, direct)
 
 
 # ---------------------------------------------------------------------------

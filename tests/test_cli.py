@@ -156,6 +156,42 @@ class TestStepsize:
         assert main(base + ["--method", "hb"]) == 2
         assert main(base + ["--method", "corollary1"]) == 2
 
+    def test_hb_json_keys(self, system_files, tmp_path, capsys):
+        out_json = tmp_path / "hb.json"
+        code = main(
+            ["stepsize", "--laplacian", str(system_files["lap"]), "--method", "hb",
+             "--rho", "0.2", "--out-json", str(out_json), "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        doc = json.loads(out_json.read_text())
+        assert set(doc) == {"method", "rho", "hb_verdict", "direct_verdict", "magnitudes"}
+        assert doc["method"] == "theorem_hb" and doc["rho"] == 0.2
+        assert doc["hb_verdict"] is True and doc["direct_verdict"] is True
+        assert len(doc["magnitudes"]) == 2 and max(doc["magnitudes"]) < 1.0
+        assert json.loads(capsys.readouterr().out) == doc
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "hb", "--rho", "nan"],
+        ["--method", "hb", "--rho", "inf"],
+        ["--grid", "inf"],
+        ["--grid", "nan"],
+        ["--grid", "0"],
+        ["--rho-max", "-1"],
+        ["--rho-max", "0"],
+        ["--rho-max", "nan"],
+        ["--method", "cubic", "--rho-max", "inf"],
+        ["--mode", "fixed-eps", "--eps", "nan", "--method", "direct"],
+    ])
+    def test_bad_number_exit_code(self, system_files, tmp_path, capsys, flags):
+        out_dir = tmp_path / "out"
+        code = main(
+            ["stepsize", "--laplacian", str(system_files["lap"]), "--out-dir", str(out_dir)]
+            + flags
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestEstimateAndBounds:
     def test_estimate_output(self, tmp_path, capsys):

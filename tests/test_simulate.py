@@ -10,11 +10,9 @@ from opiniondyn.simulate import (
     CONVERGED,
     DIVERGED,
     MAX_STEPS,
-    OpinionState,
     disagreement_series,
     run,
     run_multi_issue,
-    step_issue_free,
 )
 from opiniondyn.spectral import classify_system, predict_limit
 
@@ -36,18 +34,16 @@ def diverging_system():
 class TestStep:
     def test_zero_laplacian_fixed_point(self):
         spec = SystemSpec([0.3, 0.3], np.zeros((2, 2)), np.eye(2))
-        state = OpinionState(np.array([1.0, -2.0]), None, 0)
-        nxt = step_issue_free(spec, state)
-        np.testing.assert_array_equal(nxt.xi, state.xi)
-        assert nxt.k == 1
+        x0 = np.array([1.0, -2.0])
+        traj = run(spec, x0, max_steps=1)
+        assert list(traj.ks) == [0, 1]
+        np.testing.assert_array_equal(traj.xi_series[1], x0)
 
     def test_matches_naive_product(self, example1):
         M = example1.system.iteration_matrix()
-        state = OpinionState(fx.EXAMPLE1_X0.copy(), None, 0)
-        nxt = step_issue_free(example1.system, state)
-        np.testing.assert_allclose(nxt.xi, naive_matvec(M, fx.EXAMPLE1_X0), atol=1e-12)
+        traj = run(example1.system, fx.EXAMPLE1_X0, max_steps=1)
         np.testing.assert_allclose(
-            nxt.z, naive_matvec(fx.EXAMPLE1_APPRAISAL, nxt.xi), atol=1e-12
+            traj.xi_series[1], naive_matvec(M, fx.EXAMPLE1_X0), atol=1e-12
         )
 
     def test_consensus_is_invariant_under_cooperative_appraisal(self):
@@ -56,9 +52,8 @@ class TestStep:
         D = random_stochastic(rng, n)
         L = np.eye(n) - random_stochastic(rng, n)
         spec = SystemSpec(rng.uniform(0.5, 1.5, n), L, D)
-        state = OpinionState(np.full(n, 3.7), None, 0)
-        nxt = step_issue_free(spec, state)
-        np.testing.assert_allclose(nxt.xi, state.xi, atol=1e-13)
+        traj = run(spec, np.full(n, 3.7), max_steps=1)
+        np.testing.assert_allclose(traj.xi_series[1], 3.7, atol=1e-13)
 
 
 class TestRun:
@@ -89,14 +84,6 @@ class TestRun:
         traj = run(sec5_antag.system, sec5_antag.x0, max_steps=5)
         assert traj.stop_reason == MAX_STEPS
         assert len(traj) == 6
-
-    def test_states_expose_appraisals(self, example1):
-        traj = run(example1.system, example1.x0, max_steps=20, tol_conv=0.0)
-        state = traj.states[7]
-        np.testing.assert_allclose(
-            state.z, fx.EXAMPLE1_APPRAISAL @ traj.xi_series[7], atol=0
-        )
-        assert state.k == 7
 
     def test_replay_determinism_and_one_step_consistency(self, sec5_coop):
         a = run(sec5_coop.system, sec5_coop.x0, max_steps=300)
@@ -129,7 +116,6 @@ class TestRun:
         thin = run(sec5_coop.system, sec5_coop.x0, max_steps=100, tol_conv=0.0, stride=7)
         assert list(thin.ks) == sorted(set(range(0, 101, 7)) | {100})
         np.testing.assert_array_equal(thin.xi_series, full.xi_series[thin.ks])
-        np.testing.assert_array_equal(thin.z_series, full.z_series[thin.ks])
         np.testing.assert_array_equal(thin.spread_series, full.spread_series[thin.ks])
 
     def test_dimension_validation(self, example1):
@@ -207,7 +193,6 @@ class TestMultiIssue:
         assert list(thin.ks) == sorted(set(range(0, 61, 8)) | {60})
         np.testing.assert_array_equal(thin.xi_series, full.xi_series[thin.ks])
         np.testing.assert_array_equal(thin.spread_series, full.spread_series[thin.ks])
-        assert thin.z_series is None
 
     def test_dimension_validation(self, sec5_coop):
         with pytest.raises(ValidationError):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn.errors import ValidationError
 from opiniondyn.netcore import SystemSpec
 from opiniondyn.spectral import CONSENSUS, classify_system, eigen
 from opiniondyn.stepsize import (
+    ENDPOINT_TOL,
     MODE_EPS_FIXED,
     FeasibleRegion,
     PolynomialPair,
@@ -21,7 +23,9 @@ from opiniondyn.stepsize import (
     hb_step_check,
     hermite_biehler_hurwitz,
     imaginary_axis_parts,
+    magnitude_samples,
     nonzero_eigenvalues,
+    _bilinear_quadratics,
 )
 
 from conftest import random_spanning_tree_laplacian
@@ -183,7 +187,9 @@ class TestStepCertificate:
     def test_real_spectrum_defers_to_inverse_eigenvalue(self):
         inside = hb_step_check(L2, 0.3)
         assert inside.hb_verdict and inside.direct_verdict
-        assert all(r.f_value is None for r in inside.records)
+        # lam = 2: f = 1 - 0.6 + 0.36
+        np.testing.assert_allclose(inside.eigenvalues, [2.0])
+        np.testing.assert_allclose(inside.magnitudes, [0.76])
         outside = hb_step_check(L2, 0.6)
         assert not outside.hb_verdict and not outside.direct_verdict
 
@@ -192,21 +198,118 @@ class TestStepCertificate:
         rho = region.intervals[0][1] * 0.5
         diag = hb_step_check(L3_CYCLE, rho)
         assert diag.hb_verdict and diag.direct_verdict
-        complex_records = [r for r in diag.records if r.f_value is not None]
-        assert complex_records and all(r.f_value > 0 for r in complex_records)
-        assert all(r.excluded_roots.size > 0 for r in complex_records)
+        assert np.abs(diag.eigenvalues.imag).min() > 0.5
+        assert diag.magnitudes.shape == (2,) and diag.magnitudes.max() < 1.0
 
     def test_complex_spectrum_outside(self):
         region = feasible_rho_direct(L3_CYCLE)
         rho = region.intervals[0][1] * 1.5
         diag = hb_step_check(L3_CYCLE, rho)
-        assert not diag.direct_verdict
-        # the origin-condition values are still reported for the record
-        assert any(r.f_value is not None for r in diag.records)
+        assert not diag.hb_verdict and not diag.direct_verdict
+        assert diag.magnitudes.max() > 1.0
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValidationError):
             hb_step_check(L2, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hb_step_check(L2, np.nan),
+    lambda: hb_step_check(L2, np.inf),
+    lambda: hb_step_check(L2, -0.1),
+    lambda: magnitude_samples(L2, grid_step=np.inf),
+    lambda: magnitude_samples(L2, grid_step=np.nan),
+    lambda: magnitude_samples(L2, grid_step=0.0),
+    lambda: magnitude_samples(L2, rho_max=np.nan),
+    lambda: magnitude_samples(L2, rho_max=-1.0),
+    lambda: magnitude_samples(L2, mode=MODE_EPS_FIXED, eps=np.nan),
+    lambda: feasible_rho_direct(L2, rho_max=0.0),
+    lambda: feasible_rho_direct(L2, rho_max=np.inf),
+    lambda: feasible_rho_direct(L2, grid_step=-1e-3),
+    lambda: feasible_rho_direct(L2, mode=MODE_EPS_FIXED, eps=np.inf),
+    lambda: feasible_rho_cubic(L2, rho_max=np.nan),
+    lambda: feasible_rho_cubic(L2, rho_max=-1.0),
+    lambda: hb_step_check(np.zeros((2, 2)), 0.1),
+    lambda: feasible_rho_cubic(np.zeros((2, 2))),
+    lambda: epsilon_range(np.zeros((2, 2))),
+    lambda: feasible_rho_bound(np.zeros((2, 2)), 0.1),
+])
+def test_step_size_routes_reject_bad_input(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def _factors(rho, lams):
+    return 1.0 - rho * lams + rho * rho * lams * lams
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    frac=st.floats(0.01, 2.0),
+)
+def test_certificate_matches_direct_verdict_and_general_chain(seed, n, frac):
+    L = random_spanning_tree_laplacian(np.random.default_rng(seed), n)
+    lams = nonzero_eigenvalues(L)
+    rho = frac / np.abs(lams).max()
+    diag = hb_step_check(L, rho)
+    np.testing.assert_array_equal(diag.eigenvalues, lams)
+    f = _factors(rho, lams)
+    np.testing.assert_array_equal(diag.magnitudes, np.abs(f))
+    if np.abs(diag.magnitudes - 1.0).min() > 1e-9:
+        assert diag.hb_verdict == diag.direct_verdict
+    for fi, qi, mag in zip(f, _bilinear_quadratics(f), diag.magnitudes):
+        # S(z) = z^2 - 2 Re(f) z + |f|^2 through the general chain.
+        q = bilinear_transform([abs(fi) ** 2, -2.0 * fi.real, 1.0])
+        np.testing.assert_allclose(q.imag, 0.0, atol=0.0)
+        np.testing.assert_allclose(q.real, qi, rtol=1e-12, atol=1e-12)
+        if abs(mag - 1.0) > 1e-9:
+            closed = bool((qi > 0).all() or (qi < 0).all())
+            assert closed == hermite_biehler_hurwitz(imaginary_axis_parts(q))
+            assert closed == (mag < 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+def test_direct_and_cubic_endpoints_agree(seed, n):
+    L = random_spanning_tree_laplacian(np.random.default_rng(seed), n)
+    direct = feasible_rho_direct(L).intervals
+    cubic = feasible_rho_cubic(L).intervals
+    assert len(direct) == len(cubic)
+    for pair_d, pair_c in zip(direct, cubic):
+        for a, b in zip(pair_d, pair_c):
+            assert abs(a - b) <= ENDPOINT_TOL
+
+
+def chain_backbone_laplacian(rng, n, extra_edge_prob=0.3):
+    """Digraph Laplacian on the path 0 -> 1 -> ... -> n-1 plus random extra edges."""
+    L = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if j == i - 1 or (i != j and rng.random() < extra_edge_prob):
+                w = rng.uniform(0.5, 1.5)
+                L[i, j] -= w
+                L[i, i] += w
+    return L
+
+
+def test_certificate_sweep_on_chain_backbone_digraphs():
+    # 120 graphs (n = 3-11) x 10 step sizes up to 1.3x the direct region's right end.
+    rng = np.random.default_rng(3)
+    checked = disagree = feasible = 0
+    for g in range(120):
+        L = chain_backbone_laplacian(rng, 3 + g % 9)
+        right = feasible_rho_direct(L).right_endpoint()
+        for rho in right * rng.uniform(1e-3, 1.3, 10):
+            diag = hb_step_check(L, rho)
+            if np.abs(diag.magnitudes - 1.0).min() <= 1e-9:
+                continue
+            checked += 1
+            feasible += diag.direct_verdict
+            disagree += diag.hb_verdict != diag.direct_verdict
+    assert disagree == 0
+    assert checked >= 1190 and 0 < feasible < checked
 
 
 class TestBilinear:
