@@ -17,6 +17,9 @@ STOP_CONVERGED = 0
 STOP_MAX_STEPS = 1
 STOP_DIVERGED = 2
 
+FIRST_BLOCK = 16
+MAX_BLOCK = 256
+
 
 def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
     """Apply ``step`` from ``x0`` until the stop rule fires.
@@ -25,31 +28,49 @@ def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
     magnitude.  Only the states at multiples of ``stride`` and the last one
     are kept.  Returns ``(rows, ks, status)``: the kept states stacked along
     axis 0, their step indices, and a ``STOP_*`` code.
+
+    The states are computed one ``step`` call at a time, each from the
+    previous one, in blocks of ``FIRST_BLOCK`` growing to ``MAX_BLOCK``
+    steps; the stop rule and the stride are then checked on the whole block
+    at once.  States past the stop point are computed (and may overflow) but
+    dropped, so rows, ``ks`` and status are those of a step-by-step check.
     """
     prev = np.array(x0, dtype=float)
-    rows, ks = [prev], [0]
-    status = STOP_MAX_STEPS
-    streak = 0
-    for k in range(1, max_steps + 1):
-        cur = step(prev)
-        if not np.abs(cur).max() <= guard:
-            status = STOP_DIVERGED
-            break
-        if np.abs(cur - prev).max() < tol_conv:
-            streak += 1
-            if streak >= window:
-                status = STOP_CONVERGED
-                break
-        else:
-            streak = 0
-        if k % stride == 0:
-            rows.append(cur)
-            ks.append(k)
-        prev = cur
-    if ks[-1] != k:
-        rows.append(cur)
-        ks.append(k)
-    return np.stack(rows), np.array(ks), status
+    rows, ks = [prev[None]], [np.zeros(1, dtype=np.int64)]
+    status, streak, done, size = STOP_MAX_STEPS, 0, 0, FIRST_BLOCK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while status == STOP_MAX_STEPS and done < max_steps:
+            b = min(size, max_steps - done)
+            states = [prev]
+            cur = prev
+            for _ in range(b):
+                cur = step(cur)
+                states.append(cur)
+            block = np.stack(states)
+            flat = block.reshape(b + 1, -1)
+            bad = ~(np.abs(flat[1:]).max(axis=1) <= guard)
+            small = np.abs(flat[1:] - flat[:-1]).max(axis=1) < tol_conv
+            # Consecutive small steps ending at each step, counting the
+            # streak carried in from earlier blocks.
+            idx = np.arange(b)
+            run = idx - np.maximum.accumulate(np.where(small, -1 - streak, idx))
+            stops = np.flatnonzero(bad | (small & (run >= window)))
+            end = b
+            if stops.size:
+                end = int(stops[0]) + 1
+                status = STOP_DIVERGED if bad[stops[0]] else STOP_CONVERGED
+            else:
+                streak = int(run[-1])
+            k = np.arange(done + 1, done + end + 1)
+            keep = k % stride == 0
+            if status != STOP_MAX_STEPS or done + end == max_steps:
+                keep[-1] = True
+            rows.append(block[1 : end + 1][keep])
+            ks.append(k[keep])
+            prev = states[end]
+            done += end
+            size = min(2 * size, MAX_BLOCK)
+    return np.concatenate(rows), np.concatenate(ks), status
 
 
 def scan_magnitude(rhos, lams, eps, eps_is_rho):
