@@ -6,6 +6,10 @@ the spectrum strictly inside the unit disk and the unit right eigenvector is
 the all-ones direction; it merely converges (to clusters) when that direction
 condition fails; attaching an issue-coupling matrix turns the question into
 one about eigenvalue products of the Kronecker map.
+
+The unit eigenvector pair is real: the right vector is exactly the all-ones
+vector under consensus (else one real SVD), and the left vector comes from
+one bordered LU solve.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ logger = logging.getLogger(__name__)
 
 TOL_EIG = 1e-8
 SV_NULL_THRESHOLD = 1e-10
+# ``(M - I) @ ones`` within this many n*eps*|M - I| counts as exactly zero.
+ONES_ROUNDING = 64
 
 CONSENSUS = "consensus"
 CONVERGENCE = "convergence"
@@ -39,7 +45,10 @@ class SpectralReport:
 
     ``left_vec``/``right_vec`` are the unit-eigenvalue pair, normalized so
     that ``left_vec @ right_vec == 1``; they are None unless the system was
-    classified consensus or convergence.
+    classified consensus or convergence, and ``eigvec_residual`` is then
+    their residual (else None).  ``unit_gap`` is the smallest ``|w - 1|``
+    over the eigenvalues not counted as unit (inf when there are none).
+    Neither health figure enters ``to_json_dict``.
     """
 
     eigenvalues: np.ndarray
@@ -48,6 +57,8 @@ class SpectralReport:
     left_vec: np.ndarray | None
     right_vec: np.ndarray | None
     classification: str
+    unit_gap: float
+    eigvec_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,51 +87,48 @@ def eigen(M) -> np.ndarray:
     return w[order]
 
 
-def eigenvector(M, target: complex, side: str = "right") -> np.ndarray:
-    """Unit-norm eigenvector for the eigenvalue nearest ``target``.
-
-    Computed as the smallest right singular vector of ``M - target*I`` (or of
-    its conjugate transpose for ``side='left'``), which is rank-revealing and
-    robust for nearly defective spectra.
-    """
-    M = as_matrix(M).astype(complex)
-    n = M.shape[0]
-    S = M - target * np.eye(n)
-    if side == "left":
-        S = S.conj().T
-    elif side != "right":
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    _, sv, Vh = np.linalg.svd(S)
-    v = Vh[-1].conj()
-    resid = np.abs(M @ v - target * v).max() if side == "right" else np.abs(v @ M - target * v).max()
-    scale = max(1.0, float(np.abs(M).max()))
-    if resid > 1e-8 * scale:
-        raise NumericalError(
-            f"eigenvector residual {resid:.3e} exceeds 1e-8*|M| for target {target}"
-        )
-    return v
-
-
-def _realify(v: np.ndarray) -> np.ndarray:
-    # Rotate a complex eigenvector onto the real axis when it is real up to phase.
-    k = int(np.argmax(np.abs(v)))
-    v = v * np.exp(-1j * np.angle(v[k]))
-    if np.abs(v.imag).max() <= 1e-9 * np.abs(v.real).max():
-        return v.real.copy()
-    return v
-
-
 def _unit_pair(M: np.ndarray):
-    """Left/right eigenvectors for eigenvalue 1, normalized to left@right = 1."""
-    iota = _realify(eigenvector(M, 1.0, side="right"))
-    sigma = _realify(eigenvector(M, 1.0, side="left"))
-    if abs(sigma @ iota) < 1e-12:  # unit-norm vectors here
+    """Left/right eigenvectors for a simple eigenvalue 1, and their residual.
+
+    The right vector ``iota`` is exactly the all-ones vector when that is an
+    eigenvector up to rounding (``M - I`` times ones is at rounding level),
+    and otherwise the smallest right singular vector of ``M - I``; it is
+    scaled so that its largest entry is 1.  The left vector ``sigma`` then
+    solves the bordered system ``[[(M - I)', iota], [iota', 0]] [sigma; mu]
+    = [0; 1]``, which is non-singular exactly when the unit eigenvalue is
+    simple, and so comes out normalized to ``sigma @ iota == 1``.  The
+    residual is the larger of ``|(M - I) iota|`` and ``|sigma' (M - I)|``,
+    each relative to its vector's largest entry.
+    """
+    n = M.shape[0]
+    S = M - np.eye(n)
+    size = max(1.0, float(np.abs(S).sum(axis=1).max()))
+    iota = np.ones(n)
+    if np.abs(S @ iota).max() > ONES_ROUNDING * n * np.finfo(float).eps * size:
+        iota = np.linalg.svd(S)[2][-1]
+        iota = iota / iota[np.argmax(np.abs(iota))]
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = S.T
+    bordered[:n, n] = iota
+    bordered[n, :n] = iota
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    try:
+        sigma = np.linalg.solve(bordered, rhs)[:n]
+    except np.linalg.LinAlgError:
+        sigma = None
+    # For unit-norm pairs this is |sigma @ iota| < 1e-12.
+    if sigma is None or not np.linalg.norm(sigma) * np.linalg.norm(iota) < 1e12:
         raise NumericalError(
             "unit eigenvalue appears defective: left/right eigenvectors are orthogonal"
         )
-    iota = iota / iota[np.argmax(np.abs(iota))]
-    sigma = sigma / (sigma @ iota)
-    return sigma, iota
+    resid = max(
+        float(np.abs(S @ iota).max()),
+        float(np.abs(sigma @ S).max() / np.abs(sigma).max()),
+    )
+    if resid > 1e-8 * max(1.0, float(np.abs(M).max())):
+        raise NumericalError(f"unit eigenvector residual {resid:.3e} exceeds 1e-8*|M|")
+    return sigma, iota, resid
 
 
 def classify_system(sys: SystemSpec, tol_eig: float = TOL_EIG) -> SpectralReport:
@@ -133,6 +141,7 @@ def classify_system(sys: SystemSpec, tol_eig: float = TOL_EIG) -> SpectralReport
     w = eigen(M)
     unit = np.abs(w - 1.0) <= tol_eig
     count = int(unit.sum())
+    gap = float(np.abs(w[~unit] - 1.0).min()) if count < w.size else np.inf
 
     if count == 0:
         rho = float(np.abs(w).max())
@@ -140,7 +149,7 @@ def classify_system(sys: SystemSpec, tol_eig: float = TOL_EIG) -> SpectralReport
             cls = STABILITY
         else:
             cls = DIVERGENT
-        return SpectralReport(w, 0, rho, None, None, cls)
+        return SpectralReport(w, 0, rho, None, None, cls, gap)
 
     if count > 1:
         cluster = w[unit]
@@ -155,18 +164,18 @@ def classify_system(sys: SystemSpec, tol_eig: float = TOL_EIG) -> SpectralReport
         rest = np.abs(w[~unit])
         rho = float(rest.max()) if rest.size else 0.0
         logger.info("unit eigenvalue has multiplicity %d; not a simple-consensus system", count)
-        return SpectralReport(w, count, rho, None, None, DIVERGENT)
+        return SpectralReport(w, count, rho, None, None, DIVERGENT, gap)
 
     rest = np.abs(w[~unit])
     rho = float(rest.max()) if rest.size else 0.0
     if rho >= 1.0 - tol_eig:
-        return SpectralReport(w, 1, rho, None, None, DIVERGENT)
+        return SpectralReport(w, 1, rho, None, None, DIVERGENT, gap)
 
-    sigma, iota = _unit_pair(M)
+    sigma, iota, resid = _unit_pair(M)
     mu = float(np.mean(iota))
     aligned = np.abs(iota - mu).max() <= tol_eig * max(1.0, float(np.abs(iota).max()))
     cls = CONSENSUS if aligned else CONVERGENCE
-    return SpectralReport(w, 1, rho, sigma, iota, cls)
+    return SpectralReport(w, 1, rho, sigma, iota, cls, gap, resid)
 
 
 def predict_limit(

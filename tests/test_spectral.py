@@ -1,10 +1,12 @@
 """Eigenstructure, classification verdicts, and limit prediction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from opiniondyn import fixtures as fx
-from opiniondyn.errors import AmbiguousSpectrumError, ValidationError
+from opiniondyn.errors import AmbiguousSpectrumError, NumericalError, ValidationError
 from opiniondyn.netcore import SystemSpec
 from opiniondyn.simulate import run
 from opiniondyn.spectral import (
@@ -18,8 +20,8 @@ from opiniondyn.spectral import (
     antagonistic_consensus_structure,
     classify_multi_issue,
     classify_system,
+    _unit_pair,
     eigen,
-    eigenvector,
     powers_converge,
     predict_limit,
 )
@@ -60,11 +62,6 @@ class TestEigen:
     def test_issue_coupling_spectrum(self):
         w = eigen(fx.ISSUE_COUPLING_ANTAG)
         np.testing.assert_allclose(sorted(np.abs(w), reverse=True), [1.0, 0.3], atol=1e-10)
-
-    def test_eigenvector_residual_contract(self, example1):
-        M = example1.system.iteration_matrix()
-        v = eigenvector(M, 1.0, side="right")
-        assert np.abs(M @ v - v).max() <= 1e-8 * np.abs(M).max()
 
     def test_trace_consistency(self):
         rng = np.random.default_rng(31)
@@ -154,6 +151,139 @@ class TestClassify:
         rep = classify_system(spec)
         assert rep.classification == DIVERGENT
         assert rep.unit_eigen_count == 2
+
+
+def _complex_svd_pair(M: np.ndarray):
+    """Reference unit pair: the smallest singular vectors of the complex
+    ``M - I`` and of its conjugate transpose, rotated onto the real axis and
+    normalized as the classifier normalizes its pair."""
+
+    def null_vector(S):
+        v = np.linalg.svd(S)[2][-1].conj()
+        v = v * np.exp(-1j * np.angle(v[np.argmax(np.abs(v))]))
+        assert np.abs(v.imag).max() <= 1e-9 * np.abs(v.real).max()
+        return v.real
+
+    S = M.astype(complex) - np.eye(M.shape[0])
+    iota = null_vector(S)
+    sigma = null_vector(S.conj().T)
+    iota = iota / iota[np.argmax(np.abs(iota))]
+    return sigma / (sigma @ iota), iota
+
+
+def _dyadic_system(rng: np.random.Generator, n: int) -> SystemSpec:
+    """A system whose update matrix is exact in floating point: integer
+    Laplacian with a ring backbone, diagonally dominant row-stochastic
+    appraisal in sixteenths and a power-of-two gain, so ones is exactly a
+    unit right eigenvector."""
+    W = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.5)
+    W[np.arange(n), np.roll(np.arange(n), 1)] = rng.integers(1, 4, n)
+    np.fill_diagonal(W, 0)
+    L = np.diag(W.sum(axis=1)) - W
+    D = (8 * np.eye(n) + rng.multinomial(8, np.full(n, 1.0 / n), size=n)) / 16.0
+    gain = 2.0 ** -int(np.ceil(np.log2(2 * W.sum(axis=1).max())))
+    return SystemSpec(np.full(n, gain), L.astype(float), D)
+
+
+def _exact_alpha(M: np.ndarray, x0: np.ndarray) -> Fraction:
+    """``sigma @ x0`` for the exact left unit vector of the float matrix ``M``
+    normalized to ``sigma @ ones == 1``, by Gaussian elimination on the
+    bordered system in rational arithmetic."""
+    n = M.shape[0]
+    A = [
+        [Fraction(float(M[j, i])) - (i == j) for j in range(n)] + [Fraction(1), Fraction(0)]
+        for i in range(n)
+    ]
+    A.append([Fraction(1)] * n + [Fraction(0), Fraction(1)])
+    for c in range(n + 1):
+        p = next(r for r in range(c, n + 1) if A[r][c] != 0)
+        A[c], A[p] = A[p], A[c]
+        for r in range(n + 1):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    sigma = [A[i][n + 1] / A[i][i] for i in range(n)]
+    return sum(s * Fraction(float(x)) for s, x in zip(sigma, x0))
+
+
+class TestUnitPair:
+    def test_unit_pair_residual_contract(self, example1, sec5_coop, sec5_antag):
+        rng = np.random.default_rng(71)
+        systems = [example1.system, sec5_coop.system, sec5_antag.system]
+        systems += [random_consensus_system(rng, int(rng.integers(2, 8))) for _ in range(20)]
+        for spec in systems:
+            rep = classify_system(spec)
+            M = spec.iteration_matrix()
+            S = M - np.eye(spec.n_agents)
+            iota, sigma = rep.right_vec, rep.left_vec
+            right = np.abs(S @ iota).max() / np.abs(iota).max()
+            left = np.abs(sigma @ S).max() / np.abs(sigma).max()
+            assert max(right, left) <= rep.eigvec_residual <= 1e-8 * np.abs(M).max()
+
+    def test_alpha_matches_exact_rational_limit(self):
+        rng = np.random.default_rng(59)
+        checked = 0
+        for _ in range(60):
+            spec = _dyadic_system(rng, int(rng.integers(2, 7)))
+            try:
+                rep = classify_system(spec)
+            except AmbiguousSpectrumError:  # a singular appraisal can crowd the unit point
+                continue
+            if rep.classification != CONSENSUS:
+                continue
+            M = spec.iteration_matrix()
+            assert np.array_equal(M @ np.ones(spec.n_agents), np.ones(spec.n_agents))
+            x0 = rng.uniform(0.0, 10.0, spec.n_agents)
+            alpha = predict_limit(spec, x0, report=rep).alpha
+            exact = float(_exact_alpha(M, x0))
+            # Rounding sigma and summing sigma @ x0 in floating point can
+            # each cost an ulp or two.
+            assert abs(alpha - exact) <= 4 * np.spacing(exact)
+            checked += 1
+        assert checked >= 40
+
+    def test_consensus_limit_entries_are_bitwise_equal(self, example1):
+        rng = np.random.default_rng(61)
+        systems = [(example1.system, example1.x0)]
+        for _ in range(30):
+            spec = random_consensus_system(rng, int(rng.integers(2, 8)))
+            systems.append((spec, rng.uniform(-10, 10, spec.n_agents)))
+        for spec, x0 in systems:
+            rep = classify_system(spec)
+            np.testing.assert_array_equal(rep.right_vec, np.ones(spec.n_agents))
+            phi = predict_limit(spec, x0, report=rep).phi
+            assert (phi == phi[0]).all()
+
+    def test_cluster_pair_matches_complex_svd_oracle(self, sec5_antag):
+        rng = np.random.default_rng(67)
+        systems = [sec5_antag.system]
+        while len(systems) < 40:
+            n = int(rng.integers(2, 8))
+            L = random_spanning_tree_laplacian(rng, n)
+            D = random_stochastic(rng, n) * rng.uniform(0.6, 0.9, n)[:, None]
+            spec = SystemSpec(np.full(n, 0.3 / L.diagonal().max()), L, D)
+            if classify_system(spec).classification == CONVERGENCE:
+                systems.append(spec)
+        for spec in systems:
+            rep = classify_system(spec)
+            assert rep.classification == CONVERGENCE
+            sigma, iota = _complex_svd_pair(spec.iteration_matrix())
+            np.testing.assert_allclose(rep.right_vec, iota, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rep.left_vec, sigma, rtol=0, atol=1e-10)
+
+    def test_defective_unit_eigenvalue_raises(self):
+        with pytest.raises(NumericalError, match="defective"):
+            _unit_pair(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_health_figures_stay_out_of_the_json(self, example1, sec5_antag):
+        shrunk = SystemSpec([1.0, 1.0], [[1.0, -0.5], [-0.5, 1.0]], np.eye(2) * 0.9)
+        for spec in (example1.system, sec5_antag.system, shrunk):
+            rep = classify_system(spec)
+            w = rep.eigenvalues
+            rest = w[np.abs(w - 1.0) > 1e-8]
+            assert rep.unit_gap == np.abs(rest - 1.0).min()
+            assert (rep.eigvec_residual is None) == (rep.left_vec is None)
+            assert set(rep.to_json_dict()) == {"eigenvalues", "classification", "rho_rest"}
 
 
 class TestPredictLimit:
