@@ -137,8 +137,9 @@ def _cmd_stepsize(args) -> int:
     if mode == stepsize.MODE_EPS_FIXED and args.eps is None:
         raise ValidationError("--mode fixed-eps requires --eps")
 
+    samples = None
     if args.method == "direct":
-        region = stepsize.feasible_rho_direct(
+        region, samples = stepsize.direct_scan(
             L, mode=mode, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
         )
         doc = region.to_json_dict()
@@ -169,9 +170,11 @@ def _cmd_stepsize(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown method {args.method!r}")
 
-    rhos, mags, *_ = stepsize.magnitude_samples(
-        L, mode=mode, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
-    )
+    if samples is None:
+        samples = stepsize.magnitude_samples(
+            L, mode=mode, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
+        )
+    rhos, mags, *_ = samples
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     lines = ["# rho,max_magnitude"]
     lines += [f"{repr(float(r))},{repr(float(m))}" for r, m in zip(rhos, mags)]

@@ -177,11 +177,23 @@ def feasible_rho_direct(
     rho_max: float | None = None,
 ) -> FeasibleRegion:
     """Ground-truth region from a dense magnitude scan with bisected endpoints."""
-    rhos, mags, lams, eps_val, eps_is_rho, rho_max = magnitude_samples(
+    return direct_scan(L, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max)[0]
+
+
+def direct_scan(
+    L,
+    mode: str = MODE_EPS_EQUALS_RHO,
+    eps: float | None = None,
+    grid_step: float = 1e-3,
+    rho_max: float | None = None,
+):
+    """The direct region together with the ``magnitude_samples`` it came from."""
+    samples = magnitude_samples(
         _require_tree(L), mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max
     )
+    rhos, mags, lams, eps_val, eps_is_rho, rho_max = samples
     if lams.size == 0:
-        return FeasibleRegion(((0.0, rho_max),), "direct_scan", rho_max)
+        return FeasibleRegion(((0.0, rho_max),), "direct_scan", rho_max), samples
     feas = mags < 1.0
     intervals = []
     i = 0
@@ -210,7 +222,7 @@ def feasible_rho_direct(
         if right > left:
             intervals.append((left, right))
         i = j + 1
-    return FeasibleRegion(tuple(intervals), "direct_scan", rho_max)
+    return FeasibleRegion(tuple(intervals), "direct_scan", rho_max), samples
 
 
 # ---------------------------------------------------------------------------

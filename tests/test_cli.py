@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from opiniondyn import fixtures as fx
+from opiniondyn import stepsize
 from opiniondyn.cli import main, reproduce
 from opiniondyn.netcore import load_matrix_csv, save_matrix_csv
 
@@ -135,6 +136,38 @@ class TestStepsize:
         assert scan.shape[1] == 2
         inside = scan[scan[:, 0] < hi - 1e-3]
         assert (inside[:, 1] < 1.0).all()
+
+    def test_direct_computes_one_spectrum_and_one_grid_scan(
+        self, system_files, tmp_path, monkeypatch
+    ):
+        calls = {"eigen": 0, "grid": 0}
+        eigen, scan = stepsize.eigen, stepsize.scan_magnitude
+
+        def counted_eigen(M):
+            calls["eigen"] += 1
+            return eigen(M)
+
+        def counted_scan(rhos, *args):
+            calls["grid"] += len(rhos) > 1  # bisection probes pass one rho
+            return scan(rhos, *args)
+
+        monkeypatch.setattr(stepsize, "eigen", counted_eigen)
+        monkeypatch.setattr(stepsize, "scan_magnitude", counted_scan)
+        code = main(
+            ["stepsize", "--laplacian", str(system_files["lap"]), "--method", "direct",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == 0 and calls == {"eigen": 1, "grid": 1}
+
+    def test_direct_rejects_a_graph_without_spanning_tree(self, tmp_path, capsys):
+        lap = tmp_path / "split.csv"
+        save_matrix_csv(lap, np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]]))
+        out_dir = tmp_path / "out"
+        code = main(["stepsize", "--laplacian", str(lap), "--method", "direct",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "spanning tree" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_every_method_runs(self, system_files, tmp_path):
         for extra in (
