@@ -3,7 +3,9 @@
 ``iterate`` drives any linear update ``x(k+1) = step(x(k))`` (the issue-free
 ``M x`` and the issue-coupled ``(M X) C'``) under one stop rule: divergence,
 a step change below ``tol_conv`` for ``window`` consecutive steps, or
-``max_steps``.  Both functions are plain numpy.
+``max_steps``.  It computes states in growing blocks and checks the rule on
+each block at once, which gives the same rows as checking after every step.
+Both functions are plain numpy.
 """
 
 from __future__ import annotations
