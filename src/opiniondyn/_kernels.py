@@ -15,9 +15,9 @@ import numpy as np
 # Read by the benchmark harness, which records it in every result file.
 BACKEND = "numpy"
 
-STOP_CONVERGED = 0
-STOP_MAX_STEPS = 1
-STOP_DIVERGED = 2
+CONVERGED = "converged"
+MAX_STEPS = "max_steps"
+DIVERGED = "diverged"
 
 FIRST_BLOCK = 16
 MAX_BLOCK = 256
@@ -29,7 +29,8 @@ def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
     A state diverges when any entry is non-finite or exceeds ``guard`` in
     magnitude.  Only the states at multiples of ``stride`` and the last one
     are kept.  Returns ``(rows, ks, status)``: the kept states stacked along
-    axis 0, their step indices, and a ``STOP_*`` code.
+    axis 0, their step indices, and the stop reason: ``CONVERGED``,
+    ``MAX_STEPS`` or ``DIVERGED``.
 
     The states are computed one ``step`` call at a time, each from the
     previous one, in blocks of ``FIRST_BLOCK`` growing to ``MAX_BLOCK``
@@ -39,9 +40,9 @@ def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
     """
     prev = np.array(x0, dtype=float)
     rows, ks = [prev[None]], [np.zeros(1, dtype=np.int64)]
-    status, streak, done, size = STOP_MAX_STEPS, 0, 0, FIRST_BLOCK
+    status, streak, done, size = MAX_STEPS, 0, 0, FIRST_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
-        while status == STOP_MAX_STEPS and done < max_steps:
+        while status == MAX_STEPS and done < max_steps:
             b = min(size, max_steps - done)
             states = [prev]
             cur = prev
@@ -60,12 +61,12 @@ def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
             end = b
             if stops.size:
                 end = int(stops[0]) + 1
-                status = STOP_DIVERGED if bad[stops[0]] else STOP_CONVERGED
+                status = DIVERGED if bad[stops[0]] else CONVERGED
             else:
                 streak = int(run[-1])
             k = np.arange(done + 1, done + end + 1)
             keep = k % stride == 0
-            if status != STOP_MAX_STEPS or done + end == max_steps:
+            if status != MAX_STEPS or done + end == max_steps:
                 keep[-1] = True
             rows.append(block[1 : end + 1][keep])
             ks.append(k[keep])

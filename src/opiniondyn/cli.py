@@ -23,13 +23,16 @@ from . import fixtures as fx
 from . import simulate as sim
 from . import spectral, stepsize
 from .errors import NumericalError, OpinionDynError, ValidationError
-from .netcore import SystemSpec, load_matrix_csv, parse_vector_arg
+from .netcore import SystemSpec, load_matrix_csv, parse_vector_arg, save_matrix_csv, write_csv
 
 logger = logging.getLogger(__name__)
 
 STABILITY_EPS = 1e-6
 RESIDUAL_PIN = 1e-16
 DEFAULT_SEED = 20240
+# The CLI spelling of each step-size mode and bound formula.
+MODES = {"fixed-eps": stepsize.MODE_EPS_FIXED, "rho-squared": stepsize.MODE_EPS_EQUALS_RHO}
+FORMULAS = {"campi": est.CAMPI_GARATTI, "paper": est.PAPER_LITERAL}
 REPRODUCE_NAMES = ("fig2a", "fig2b", "fig5", "fig6", "fig7a", "fig7b", "example-estimation")
 
 
@@ -66,16 +69,10 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_trajectory_csv(path: Path, traj: sim.Trajectory) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     dim = traj.xi_series.shape[1]
     header = "k," + ",".join(f"xi_{i + 1}" for i in range(dim)) + ",spread"
-    lines = [header]
-    for i in range(len(traj)):
-        cells = [str(int(traj.ks[i]))]
-        cells += [repr(float(v)) for v in traj.xi_series[i]]
-        cells.append(repr(float(traj.spread_series[i])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    rows = zip(traj.ks.tolist(), traj.xi_series.tolist(), traj.spread_series.tolist())
+    write_csv(path, ([k, *xi, spread] for k, xi, spread in rows), header)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +126,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stepsize(args) -> int:
+    mode = MODES[args.mode]
+    if mode == stepsize.MODE_EPS_FIXED and args.eps is None:
+        raise ValidationError("--mode fixed-eps requires --eps")
+    if mode != stepsize.MODE_EPS_FIXED and args.eps is not None:
+        raise ValidationError("--eps applies to --mode fixed-eps")
+    if args.method != "hb" and args.rho is not None:
+        raise ValidationError("--rho applies to --method hb")
     L = load_matrix_csv(args.laplacian)
     out_dir = Path(args.out_dir)
     out_json = Path(args.out_json) if args.out_json else out_dir / "stepsize-region.json"
     out_csv = Path(args.out_csv) if args.out_csv else out_dir / "stepsize-scan.csv"
-    mode = stepsize.MODE_EPS_FIXED if args.mode == "fixed-eps" else stepsize.MODE_EPS_EQUALS_RHO
-    if mode == stepsize.MODE_EPS_FIXED and args.eps is None:
-        raise ValidationError("--mode fixed-eps requires --eps")
 
     samples = None
     if args.method == "direct":
@@ -175,10 +176,7 @@ def _cmd_stepsize(args) -> int:
             L, mode=mode, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
         )
     rhos, mags, *_ = samples
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["# rho,max_magnitude"]
-    lines += [f"{repr(float(r))},{repr(float(m))}" for r, m in zip(rhos, mags)]
-    out_csv.write_text("\n".join(lines) + "\n")
+    save_matrix_csv(out_csv, np.column_stack([rhos, mags]), header="rho,max_magnitude")
     _write_json(out_json, doc)
     print(json.dumps(doc))
     return 0
@@ -206,7 +204,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_samplebound(args) -> int:
     d = args.dim if args.dim is not None else args.agents * args.agents
-    formula = est.CAMPI_GARATTI if args.formula == "campi" else est.PAPER_LITERAL
+    formula = FORMULAS[args.formula]
     query = est.SampleBoundQuery(d=d, epsilon=args.eps, beta=args.beta, formula=formula)
     m = est.sample_bound(query)
     tail = (
@@ -285,7 +283,6 @@ def _reproduce_coupled(name: str, out_dir: Path) -> RunReport:
         verdict = "stability" if final_max < STABILITY_EPS else "no-stability"
         scalars = {"final_max_abs": final_max, "steps": float(traj.ks[-1])}
     else:
-        verdict = spectral.classify_multi_issue(spec)
         if traj.stop_reason != sim.CONVERGED:
             verdict = "no-convergence"
         elif issue_spread < STABILITY_EPS:
@@ -361,24 +358,20 @@ def _cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-eig", type=float, default=spectral.TOL_EIG)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--out-dir", default=".")
-
     parser = argparse.ArgumentParser(
         prog="opiniondyn",
         description="Two-network opinion dynamics: analysis, simulation, and estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="spectral classification of a system")
+    p = sub.add_parser("analyze", help="spectral classification of a system")
     p.add_argument("--system", required=True)
+    p.add_argument("--tol-eig", type=float, default=spectral.TOL_EIG)
     p.add_argument("--x0", default=None, help="initial opinions (inline CSV or file)")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a trajectory to a CSV file")
+    p = sub.add_parser("simulate", help="run a trajectory to a CSV file")
     p.add_argument("--system", required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--steps", type=int, default=sim.DEFAULT_MAX_STEPS)
@@ -387,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("stepsize", parents=[common], help="feasible step-size regions")
+    p = sub.add_parser("stepsize", help="feasible step-size regions")
     p.add_argument("--laplacian", required=True)
-    p.add_argument("--mode", choices=["fixed-eps", "rho-squared"], default="rho-squared")
+    p.add_argument("--mode", choices=list(MODES), default="rho-squared")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument(
         "--method",
@@ -399,32 +392,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, default=1e-3)
     p.add_argument("--rho-max", type=float, default=None)
     p.add_argument("--rho", type=float, default=None, help="step size to certify (hb)")
+    p.add_argument("--out-dir", default=".")
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(handler=_cmd_stepsize)
 
-    p = sub.add_parser("estimate", parents=[common], help="appraisal estimation from scenarios")
+    p = sub.add_parser("estimate", help="appraisal estimation from scenarios")
     p.add_argument("--system", required=True, help="truth system JSON")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--gamma0", type=float, default=None, help="residual target; enables growth loop")
     p.add_argument("--cap", type=int, default=200)
     p.add_argument("--box", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="result.json")
     p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("samplebound", parents=[common], help="exact scenario sample-size bound")
+    p = sub.add_parser("samplebound", help="exact scenario sample-size bound")
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--dim", type=int, default=None, help="override decision dimension (default agents^2)")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--formula", choices=["campi", "paper"], default="campi")
+    p.add_argument("--formula", choices=list(FORMULAS), default="campi")
     p.set_defaults(handler=_cmd_samplebound)
 
-    p = sub.add_parser("reproduce", parents=[common], help="re-run a named benchmark")
+    p = sub.add_parser("reproduce", help="re-run a named benchmark")
     p.add_argument("name", choices=list(REPRODUCE_NAMES))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=_cmd_reproduce)
 
-    p = sub.add_parser("fixtures", parents=[common], help="list the bundled systems")
+    p = sub.add_parser("fixtures", help="list the bundled systems")
     p.set_defaults(handler=_cmd_fixtures)
 
     return parser

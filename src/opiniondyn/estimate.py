@@ -42,6 +42,8 @@ from .netcore import SystemSpec, as_matrix, as_vector
 logger = logging.getLogger(__name__)
 
 SV_RCOND = 1e-10
+# A fresh batch violates an estimate when its residual exceeds gamma_star by more.
+VIOLATION_TOL = 1e-12
 CAMPI_GARATTI = "campi_garatti"
 PAPER_LITERAL = "paper_literal"
 # A uniform draw on [-w, w] needs its width 2w finite, as numpy's uniform does.
@@ -50,12 +52,10 @@ _MAX_HALF_WIDTH = sys.float_info.max / 2
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """m observed one-step opinion pairs, reproducible from the seed."""
+    """m observed one-step opinion pairs."""
 
     prev: np.ndarray
     next: np.ndarray
-    seed: int
-    box: float
 
     @property
     def m(self) -> int:
@@ -70,7 +70,6 @@ class ScenarioSet:
 class EstimationResult:
     """Least-squares appraisal estimate with its residual level and rank report."""
 
-    zeta_hat: np.ndarray
     d_hat: np.ndarray
     gamma_star: float
     m_used: int
@@ -105,18 +104,6 @@ class SampleBoundQuery:
             raise ValidationError("beta must lie in (0, 1)")
         if self.formula not in (CAMPI_GARATTI, PAPER_LITERAL):
             raise ValidationError(f"unknown bound formula {self.formula!r}")
-
-
-def vec(M) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(M).flatten(order="F")
-
-
-def unvec(v, p: int, q: int) -> np.ndarray:
-    v = np.asarray(v).reshape(-1)
-    if v.size != p * q:
-        raise ValidationError(f"cannot reshape length {v.size} into {p}x{q}")
-    return v.reshape((p, q), order="F")
 
 
 def _check_draw(seed, m, box, noise=0.0) -> None:
@@ -171,31 +158,35 @@ def draw_scenarios(
     """
     _check_draw(seed, m, box, noise)
     prev, nxt = _draw_rows(truth.iteration_matrix(), seed, range(m), box, noise)
-    return ScenarioSet(prev=prev, next=nxt, seed=int(seed), box=float(box))
+    return ScenarioSet(prev=prev, next=nxt)
 
 
-def _coupling(scen: ScenarioSet, lam, L) -> np.ndarray:
-    """``K = diag(lambda) L``, checked against the scenario dimension."""
+def _coupling(n: int, lam, L) -> np.ndarray:
+    """``K = diag(lambda) L``, checked against the agent count ``n``."""
     lam = as_vector(lam, "lambda")
     L = as_matrix(L, "laplacian")
-    n = scen.n_agents
     if lam.size != n or L.shape[0] != n:
         raise ValidationError(
-            f"scenario dimension {n} does not match lambda ({lam.size}) / "
+            f"dimension {n} does not match lambda ({lam.size}) / "
             f"laplacian ({L.shape[0]})"
         )
     return lam[:, None] * L
 
 
-def _mean_sq_residual(scen: ScenarioSet, K: np.ndarray, D: np.ndarray) -> float:
-    E = scen.next - scen.prev + scen.prev @ (K @ D).T
+def _mean_sq_residual(scen: ScenarioSet, KD: np.ndarray) -> float:
+    """Mean squared residual of the pairs under the coupling action ``KD = K @ D``."""
+    E = scen.next - scen.prev + scen.prev @ KD.T
     return float(np.mean(np.sum(E * E, axis=1)))
 
 
-def residual_level(scen: ScenarioSet, lam, L, zeta) -> float:
-    """Mean squared residual of a candidate vec(D) on a scenario set."""
-    K = _coupling(scen, lam, L)
-    return _mean_sq_residual(scen, K, unvec(zeta, scen.n_agents, scen.n_agents))
+def residual_level(scen: ScenarioSet, lam, L, D) -> float:
+    """Mean squared residual of a candidate appraisal matrix on a scenario set."""
+    n = scen.n_agents
+    K = _coupling(n, lam, L)
+    D = as_matrix(D, "appraisal")
+    if D.shape != (n, n):
+        raise ValidationError(f"appraisal is {D.shape[0]}x{D.shape[1]}, expected {n}x{n}")
+    return _mean_sq_residual(scen, K @ D)
 
 
 def solve_estimation(scen: ScenarioSet, lam, L) -> EstimationResult:
@@ -209,8 +200,8 @@ def solve_estimation(scen: ScenarioSet, lam, L) -> EstimationResult:
     (it always does by at least N, see the module note) the minimum-norm
     candidate is returned and flagged non-unique.
     """
-    K = _coupling(scen, lam, L)
     n = scen.n_agents
+    K = _coupling(n, lam, L)
     R = scen.next - scen.prev
     U_k, s_k, Vt_k = np.linalg.svd(K)
     U_p, s_p, Vt_p = np.linalg.svd(scen.prev, full_matrices=False)
@@ -229,9 +220,8 @@ def solve_estimation(scen: ScenarioSet, lam, L) -> EstimationResult:
             n * n,
         )
     return EstimationResult(
-        zeta_hat=vec(d_hat),
         d_hat=d_hat,
-        gamma_star=_mean_sq_residual(scen, K, d_hat),
+        gamma_star=_mean_sq_residual(scen, K @ d_hat),
         m_used=scen.m,
         rank=rank,
         unique=unique,
@@ -268,7 +258,7 @@ def grow_sample_estimate(
         if m > len(prev):
             p, q = _draw_rows(M, seed, range(len(prev), min(m_cap, 2 * m)), box, noise)
             prev, nxt = np.vstack([prev, p]), np.vstack([nxt, q])
-        scen = ScenarioSet(prev=prev[:m], next=nxt[:m], seed=int(seed), box=float(box))
+        scen = ScenarioSet(prev=prev[:m], next=nxt[:m])
         result = solve_estimation(scen, truth.lam, truth.laplacian)
         if result.gamma_star <= gamma0:
             return m, result
@@ -337,26 +327,21 @@ def sample_bound(query: SampleBoundQuery) -> int:
 
 
 def empirical_violation(
-    result: EstimationResult,
-    truth: SystemSpec,
-    trials: int,
-    seed: int,
-    gamma_star: float | None = None,
-    box: float = 1.0,
-    tol: float = 1e-12,
+    result: EstimationResult, truth: SystemSpec, trials: int, seed: int, box: float = 1.0
 ) -> float:
-    """Fraction of fresh same-size scenario batches whose residual exceeds the level."""
+    """Fraction of fresh same-size scenario batches whose residual exceeds
+    ``result.gamma_star`` by more than ``VIOLATION_TOL``."""
     if not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValidationError("need at least one trial")
     _check_draw(seed, result.m_used, box)
-    level = result.gamma_star if gamma_star is None else float(gamma_star)
+    KD = _coupling(len(result.d_hat), truth.lam, truth.laplacian) @ result.d_hat
+    level = result.gamma_star + VIOLATION_TOL
     children = np.random.SeedSequence(seed).spawn(trials)
     hits = 0
     for child in children:
         batch_seed = int(np.random.default_rng(child).integers(0, 2**63 - 1))
         scen = draw_scenarios(truth, result.m_used, batch_seed, box=box)
-        f = residual_level(scen, truth.lam, truth.laplacian, result.zeta_hat)
-        if f > level + tol:
+        if _mean_sq_residual(scen, KD) > level:
             hits += 1
     return hits / trials
 

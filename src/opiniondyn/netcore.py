@@ -425,12 +425,26 @@ def load_matrix_csv(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def write_csv(path, rows, header: str | None = None) -> None:
+    """Write ``rows`` of Python numbers, one line each, under a verbatim header.
+
+    A cell is the number's ``repr``: an int's digits, or a float's shortest
+    string that reads back as the same float (``inf``, ``nan`` and ``-0.0``
+    included).  Take rows from ``ndarray.tolist()``, since a numpy scalar's
+    ``repr`` is not a number.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [] if header is None else [header]
+    lines += [",".join(map(repr, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def save_matrix_csv(path, M, header: str | None = None) -> None:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [] if header is None else [f"# {header}"]
-    for row in M:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a matrix that ``load_matrix_csv`` reads back exactly; ``header``
+    becomes a '#' comment line."""
+    rows = np.atleast_2d(np.asarray(M, dtype=float)).tolist()
+    write_csv(path, rows, None if header is None else f"# {header}")
 
 
 def parse_vector_arg(text: str) -> np.ndarray:

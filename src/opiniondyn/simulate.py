@@ -12,18 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import CONVERGED, DIVERGED, MAX_STEPS  # the stop reasons
 from .errors import ValidationError
 from .netcore import SystemSpec
-
-CONVERGED = "converged"
-MAX_STEPS = "max_steps"
-DIVERGED = "diverged"
-
-_STOP_NAMES = {
-    _kernels.STOP_CONVERGED: CONVERGED,
-    _kernels.STOP_MAX_STEPS: MAX_STEPS,
-    _kernels.STOP_DIVERGED: DIVERGED,
-}
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_TOL_CONV = 1e-10
@@ -48,13 +39,13 @@ class Trajectory:
         return self.xi_series[-1]
 
 
-def _package(xis, ks, status) -> Trajectory:
+def _package(xis, ks, stop_reason) -> Trajectory:
     flat = xis.reshape(xis.shape[0], -1)
     spread = flat.max(axis=1) - flat.min(axis=1)
     return Trajectory(
         xi_series=xis,
         ks=ks,
-        stop_reason=_STOP_NAMES[status],
+        stop_reason=stop_reason,
         spread_series=spread,
     )
 
@@ -72,7 +63,6 @@ def run(
     max_steps: int = DEFAULT_MAX_STEPS,
     tol_conv: float = DEFAULT_TOL_CONV,
     window: int = DEFAULT_WINDOW,
-    overflow_guard: float = OVERFLOW_GUARD,
     stride: int = 1,
 ) -> Trajectory:
     """Iterate the issue-free system until the step change stays below
@@ -86,10 +76,10 @@ def run(
         )
     _check_counts(max_steps, stride)
     M = sys.iteration_matrix()
-    xis, ks, status = _kernels.iterate(
-        lambda x: M @ x, xi0, int(max_steps), tol_conv, window, overflow_guard, stride
+    xis, ks, stop_reason = _kernels.iterate(
+        lambda x: M @ x, xi0, int(max_steps), tol_conv, window, OVERFLOW_GUARD, stride
     )
-    return _package(xis, ks, status)
+    return _package(xis, ks, stop_reason)
 
 
 def run_multi_issue(
@@ -98,7 +88,6 @@ def run_multi_issue(
     max_steps: int = DEFAULT_MAX_STEPS,
     tol_conv: float = DEFAULT_TOL_CONV,
     window: int = DEFAULT_WINDOW,
-    overflow_guard: float = OVERFLOW_GUARD,
     stride: int = 1,
 ) -> Trajectory:
     """Iterate the issue-coupled system on agent-major state blocks.
@@ -118,16 +107,11 @@ def run_multi_issue(
     _check_counts(max_steps, stride)
     M = sys.iteration_matrix()
     Ct = np.ascontiguousarray(sys.mids.T)
-    states, ks, status = _kernels.iterate(
-        lambda X: (M @ X) @ Ct,
-        xi0.reshape(n, m),
-        int(max_steps),
-        tol_conv,
-        window,
-        overflow_guard,
-        stride,
+    states, ks, stop_reason = _kernels.iterate(
+        lambda X: (M @ X) @ Ct, xi0.reshape(n, m), int(max_steps), tol_conv, window,
+        OVERFLOW_GUARD, stride,
     )
-    return _package(states.reshape(states.shape[0], n * m), ks, status)
+    return _package(states.reshape(states.shape[0], n * m), ks, stop_reason)
 
 
 def disagreement_series(traj: Trajectory, report) -> np.ndarray:

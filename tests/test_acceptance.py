@@ -220,7 +220,7 @@ def test_criterion_7_estimation_residual_growth_determinism():
         res2 = solve_estimation(
             draw_scenarios(truth, 8, 20240), truth.lam, truth.laplacian
         )
-        assert res.zeta_hat.tobytes() == res2.zeta_hat.tobytes()
+        assert res.d_hat.tobytes() == res2.d_hat.tobytes()
         assert res.gamma_star == res2.gamma_star
         assert time.perf_counter() - t0 < 1.0
 

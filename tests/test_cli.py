@@ -1,15 +1,23 @@
 """Command surface: flags, file formats, exit codes, reproducibility."""
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opiniondyn import fixtures as fx
+from opiniondyn import simulate as sim
 from opiniondyn import stepsize
-from opiniondyn.cli import main, reproduce
+from opiniondyn.cli import REPRODUCE_NAMES, _write_trajectory_csv, build_parser, main, reproduce
 from opiniondyn.netcore import load_matrix_csv, save_matrix_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIXTURE_SHA256 = "3975b070c42176f1546b6343d09d5f8d885e5e8928a7c056f980513d9b1bc22e"
 
@@ -44,6 +52,77 @@ def system_files(tmp_path):
     paths["lap"] = tmp_path / "lap.csv"
     save_matrix_csv(paths["lap"], fx.EXAMPLE1_LAPLACIAN)
     return paths
+
+
+# Every option each subcommand accepts; the positional of reproduce by name.
+OPTIONS = {
+    "analyze": {"--system", "--tol-eig", "--x0", "--out"},
+    "simulate": {"--system", "--x0", "--steps", "--tol", "--window", "--out"},
+    "stepsize": {"--laplacian", "--mode", "--eps", "--method", "--grid", "--rho-max", "--rho",
+                 "--out-dir", "--out-json", "--out-csv"},
+    "estimate": {"--system", "--samples", "--gamma0", "--cap", "--box", "--seed", "--out"},
+    "samplebound": {"--agents", "--dim", "--eps", "--beta", "--formula"},
+    "reproduce": {"name", "--seed", "--out-dir"},
+    "fixtures": set(),
+}
+
+
+class TestParser:
+    def test_each_subcommand_takes_only_what_it_reads(self):
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {a.option_strings[0] if a.option_strings else a.dest
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()
+        }
+        assert found == OPTIONS
+        assert sum(map(len, found.values())) == 35
+
+    @pytest.mark.parametrize("argv", [
+        ["samplebound", "--agents", "2", "--eps", "0.1", "--beta", "0.01", "--seed", "1"],
+        ["analyze", "--system", "s.json", "--out-dir", "x"],
+        ["simulate", "--system", "s.json", "--x0", "1", "--out", "t.csv", "--tol-eig", "1e-9"],
+        ["fixtures", "--seed", "1"],
+    ])
+    def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestCsvFormat:
+    """Golden bytes of the one CSV writer: every cell is Python's shortest round-trip repr."""
+
+    CELLS = [-0.0, 5e-324, 1e16, 0.1, 1 / 3, np.inf]
+
+    def test_trajectory_csv(self, tmp_path):
+        xi = np.array([self.CELLS[:3], self.CELLS[3:]])
+        traj = sim.Trajectory(
+            xi_series=xi, ks=np.array([0, 1_000_000]), stop_reason=sim.CONVERGED,
+            spread_series=np.array([1e16, np.inf]),
+        )
+        path = tmp_path / "deep" / "traj.csv"
+        _write_trajectory_csv(path, traj)
+        assert path.read_bytes() == (
+            b"k,xi_1,xi_2,xi_3,spread\n"
+            b"0,-0.0,5e-324,1e+16,1e+16\n"
+            b"1000000,0.1,0.3333333333333333,inf,inf\n"
+        )
+
+    def test_scan_csv(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        save_matrix_csv(path, np.column_stack([self.CELLS[:3], self.CELLS[3:]]),
+                        header="rho,max_magnitude")
+        assert path.read_bytes() == (
+            b"# rho,max_magnitude\n-0.0,0.1\n5e-324,0.3333333333333333\n1e+16,inf\n"
+        )
+
+    def test_matrix_csv(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        save_matrix_csv(path, np.array(self.CELLS).reshape(2, 3))
+        assert path.read_bytes() == b"-0.0,5e-324,1e+16\n0.1,0.3333333333333333,inf\n"
+        np.testing.assert_array_equal(load_matrix_csv(path).reshape(-1), self.CELLS)
 
 
 class TestFixtureCatalog:
@@ -214,6 +293,8 @@ class TestStepsize:
         ["--rho-max", "nan"],
         ["--method", "cubic", "--rho-max", "inf"],
         ["--mode", "fixed-eps", "--eps", "nan", "--method", "direct"],
+        ["--eps", "0.1"],
+        ["--method", "cubic", "--rho", "0.2"],
     ])
     def test_bad_number_exit_code(self, system_files, tmp_path, capsys, flags):
         out_dir = tmp_path / "out"
@@ -295,7 +376,7 @@ class TestReproduce:
             assert artifact.exists()
 
     def test_artifacts_byte_identical_across_runs(self, tmp_path):
-        for name in ("fig2a", "fig6", "example-estimation"):
+        for name in REPRODUCE_NAMES:
             r1 = reproduce(name, tmp_path / "a")
             r2 = reproduce(name, tmp_path / "b")
             for p1, p2 in zip(r1.artifacts, r2.artifacts):
@@ -325,3 +406,22 @@ class TestReproduce:
         assert "consensus-inside-hull" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["reproduce", "not-a-figure", "--out-dir", str(tmp_path)])
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "opiniondyn.cli", *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    proc = _run_module("reproduce", "fig2b", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fig2b: consensus-inside-hull\n")
+    assert (tmp_path / "fig2b-report.json").exists()
+    proc = _run_module("samplebound", "--agents", "2", "--eps", "0.1", "--beta", "0.01",
+                       "--seed", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: opiniondyn ")
+    assert "unrecognized arguments: --seed 1" in proc.stderr

@@ -23,8 +23,6 @@ from opiniondyn.estimate import (
     residual_level,
     sample_bound,
     solve_estimation,
-    unvec,
-    vec,
 )
 from opiniondyn.netcore import as_matrix, as_vector
 
@@ -33,6 +31,16 @@ from conftest import (
     random_laplacian,
     random_spanning_tree_laplacian,
 )
+
+
+def vec(M) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return np.asarray(M).flatten(order="F")
+
+
+def unvec(v, p: int, q: int) -> np.ndarray:
+    """Inverse of ``vec`` for a p x q matrix."""
+    return np.asarray(v).reshape((p, q), order="F")
 
 
 def regressor(xi_prev, lam, L) -> np.ndarray:
@@ -70,7 +78,7 @@ class TestVectorization:
         rng = np.random.default_rng(0)
         M = rng.standard_normal((3, 5))
         np.testing.assert_array_equal(unvec(vec(M), 3, 5), M)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             unvec(np.zeros(5), 2, 3)
 
     def test_product_identity(self):
@@ -213,7 +221,7 @@ class TestSolve:
         K = truth.lam[:, None] * truth.laplacian
         assert np.abs(K @ (res.d_hat - truth.appraisal)).max() < 1e-8
         # the returned level really is the mean squared residual at the optimum
-        recomputed = residual_level(scen, truth.lam, truth.laplacian, res.zeta_hat)
+        recomputed = residual_level(scen, truth.lam, truth.laplacian, res.d_hat)
         assert abs(recomputed - res.gamma_star) < 1e-10
 
     def test_local_optimality_probe(self, sec5_coop):
@@ -222,7 +230,7 @@ class TestSolve:
         res = solve_estimation(scen, truth.lam, truth.laplacian)
         rng = np.random.default_rng(6)
         for _ in range(20):
-            other = res.zeta_hat + rng.standard_normal(16) * 0.01
+            other = res.d_hat + rng.standard_normal((4, 4)) * 0.01
             assert residual_level(scen, truth.lam, truth.laplacian, other) >= res.gamma_star
 
     def test_single_sample_is_flagged_rank_deficient(self, sec5_coop):
@@ -270,24 +278,25 @@ class TestSolve:
         truth = sec5_coop.system
         r1 = solve_estimation(draw_scenarios(truth, 8, 123), truth.lam, truth.laplacian)
         r2 = solve_estimation(draw_scenarios(truth, 8, 123), truth.lam, truth.laplacian)
-        assert r1.zeta_hat.tobytes() == r2.zeta_hat.tobytes()
+        assert r1.d_hat.tobytes() == r2.d_hat.tobytes()
         assert r1.gamma_star == r2.gamma_star
 
     def test_dimension_mismatch_is_a_validation_error(self, sec5_coop):
         truth = sec5_coop.system
         scen = draw_scenarios(truth, 6, 2)
-        zeta = vec(truth.appraisal)
         short_lam = truth.lam[:3]
         big_L = np.eye(5) - np.ones((5, 5)) / 5
         for lam, L in ((short_lam, truth.laplacian), (truth.lam, big_L)):
             with pytest.raises(ValidationError):
-                residual_level(scen, lam, L, zeta)
+                residual_level(scen, lam, L, truth.appraisal)
             with pytest.raises(ValidationError):
                 solve_estimation(scen, lam, L)
         res = solve_estimation(scen, truth.lam, truth.laplacian)
         other = random_consensus_system(np.random.default_rng(3), 3)
         with pytest.raises(ValidationError):
             empirical_violation(res, other, trials=2, seed=1)
+        with pytest.raises(ValidationError):
+            residual_level(scen, truth.lam, truth.laplacian, np.eye(3))
 
 
 def _two_block_laplacian(rng, n):
@@ -312,7 +321,7 @@ def _estimation_cases(draw):
     M = np.eye(n) - lam[:, None] * L @ D
     prev = rng.uniform(-1.0, 1.0, (m, n))
     nxt = prev @ M.T + rng.uniform(-noise, noise, (m, n))
-    return ScenarioSet(prev=prev, next=nxt, seed=0, box=1.0), lam, L
+    return ScenarioSet(prev=prev, next=nxt), lam, L
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -325,7 +334,6 @@ def test_structured_solve_matches_kronecker_lstsq(case):
     assert res.rank == rank_ref
     assert res.unique == (rank_ref == n * n)
     np.testing.assert_allclose(res.d_hat, d_ref, rtol=0, atol=1e-10)
-    np.testing.assert_array_equal(res.zeta_hat, vec(res.d_hat))
     # Noiseless optima sit at rounding level (~1e-30), where a relative
     # comparison means nothing; the absolute floor is far below any noisy level.
     assert math.isclose(res.gamma_star, gamma_ref, rel_tol=1e-10, abs_tol=1e-20)
@@ -343,7 +351,7 @@ def test_rank_follows_the_singular_value_cut_on_nearly_collinear_samples():
     ranks = {}
     for squash in (1.0, 1e-7, 1e-13):
         prev = (U * (s * np.r_[np.ones(n - 1), squash])) @ Vt
-        scen = ScenarioSet(prev=prev, next=prev @ M.T, seed=0, box=1.0)
+        scen = ScenarioSet(prev=prev, next=prev @ M.T)
         res = solve_estimation(scen, lam, L)
         assert res.rank == kronecker_solve(scen, lam, L)[2]
         ranks[squash] = res.rank
@@ -485,14 +493,35 @@ class TestViolation:
         res = solve_estimation(scen, truth.lam, truth.laplacian)
         rng = np.random.default_rng(10)
         bogus = res.__class__(
-            zeta_hat=rng.standard_normal(16),
-            d_hat=unvec(rng.standard_normal(16), 4, 4),
+            d_hat=rng.standard_normal((4, 4)),
             gamma_star=res.gamma_star,
             m_used=res.m_used,
             rank=res.rank,
             unique=res.unique,
         )
         assert empirical_violation(bogus, truth, trials=50, seed=99) > 0.9
+
+    def test_matches_the_per_trial_residual_loop(self, sec5_coop):
+        # Estimates nudged off the truth give residuals near the 1e-12
+        # margin, so the fractions fall strictly between 0 and 1.
+        truth = sec5_coop.system
+        rng = np.random.default_rng(5)
+        fractions = []
+        for rep in range(12):
+            res = solve_estimation(draw_scenarios(truth, 8, rep), truth.lam, truth.laplacian)
+            D = res.d_hat + rng.standard_normal((4, 4)) * 10 ** rng.uniform(-7.5, -5.5)
+            nudged = res.__class__(d_hat=D, gamma_star=0.0, m_used=1 + rep % 3,
+                                   rank=res.rank, unique=res.unique)
+            children = np.random.SeedSequence(rep).spawn(40)
+            hits = 0
+            for child in children:
+                batch_seed = int(np.random.default_rng(child).integers(0, 2**63 - 1))
+                scen = draw_scenarios(truth, nudged.m_used, batch_seed)
+                hits += residual_level(scen, truth.lam, truth.laplacian, D) > 1e-12
+            fraction = empirical_violation(nudged, truth, trials=40, seed=rep)
+            assert fraction == hits / 40
+            fractions.append(fraction)
+        assert any(0.0 < f < 1.0 for f in fractions)
 
     def test_trials_validation(self, sec5_coop):
         truth = sec5_coop.system

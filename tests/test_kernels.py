@@ -25,14 +25,14 @@ def _check_run(xs, st, x0, step, max_steps, tol_conv, window, guard):
     np.testing.assert_array_equal(xs[0], x0)
     for i in range(len(xs) - 1):
         np.testing.assert_allclose(xs[i + 1], step(xs[i]), atol=1e-12)
-    steps, status, streak = max_steps, k.STOP_MAX_STEPS, 0
+    steps, status, streak = max_steps, k.MAX_STEPS, 0
     for i in range(1, len(xs)):
         if not np.isfinite(xs[i]).all() or np.abs(xs[i]).max() > guard:
-            steps, status = i, k.STOP_DIVERGED
+            steps, status = i, k.DIVERGED
             break
         streak = streak + 1 if np.abs(xs[i] - xs[i - 1]).max() < tol_conv else 0
         if streak >= window:
-            steps, status = i, k.STOP_CONVERGED
+            steps, status = i, k.CONVERGED
             break
     assert (len(xs), st) == (steps + 1, status)
 
@@ -41,17 +41,17 @@ def _iterate_loop(step, x0, max_steps, tol_conv, window, guard, stride):
     """Reference kernel: the stop rule checked after every single step."""
     prev = np.array(x0, dtype=float)
     rows, ks = [prev], [0]
-    status = k.STOP_MAX_STEPS
+    status = k.MAX_STEPS
     streak = 0
     for i in range(1, max_steps + 1):
         cur = step(prev)
         if not np.abs(cur).max() <= guard:
-            status = k.STOP_DIVERGED
+            status = k.DIVERGED
             break
         if np.abs(cur - prev).max() < tol_conv:
             streak += 1
             if streak >= window:
-                status = k.STOP_CONVERGED
+                status = k.CONVERGED
                 break
         else:
             streak = 0
@@ -129,10 +129,10 @@ def test_iterate_linear_parity():
 
 def test_iterate_linear_statuses():
     for scale, args, expected in (
-        (0.5, (500, 1e-12, 5, 1e12), k.STOP_CONVERGED),
-        (3.0, (500, 1e-12, 5, 1e6), k.STOP_DIVERGED),
-        (np.nan, (500, 1e-12, 5, 1e12), k.STOP_DIVERGED),
-        (1.0, (3, -1.0, 5, 1e12), k.STOP_MAX_STEPS),
+        (0.5, (500, 1e-12, 5, 1e12), k.CONVERGED),
+        (3.0, (500, 1e-12, 5, 1e6), k.DIVERGED),
+        (np.nan, (500, 1e-12, 5, 1e12), k.DIVERGED),
+        (1.0, (3, -1.0, 5, 1e12), k.MAX_STEPS),
     ):
         M = np.eye(2) * scale
         xs, st = _iterate_all(lambda x: M @ x, np.ones(2), *args)
@@ -143,7 +143,7 @@ def test_iterate_linear_statuses():
 def test_large_step_resets_the_convergence_streak():
     incs = iter([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     xs, st = _iterate_all(lambda x: x + next(incs), np.zeros(1), 7, 0.5, 3, 1e12)
-    assert st == k.STOP_CONVERGED
+    assert st == k.CONVERGED
     np.testing.assert_array_equal(xs[:, 0], [0, 0, 0, 1, 1, 1, 1])
 
 
@@ -227,7 +227,7 @@ def test_convergence_on_and_across_block_seams(stop, window):
     # 10 a stop at 20 or 49 has its streak cross a seam.
     incs = _converging_at(stop, window, 1000)
     _, ks, status = _assert_matches_loop(_scripted_step(incs), np.zeros(2), 1000, 0.5, window, 1e12, 1)
-    assert (status, int(ks[-1])) == (k.STOP_CONVERGED, stop)
+    assert (status, int(ks[-1])) == (k.CONVERGED, stop)
 
 
 @pytest.mark.parametrize("step_at", [1, 16, 17, 49, 113])
@@ -235,21 +235,21 @@ def test_divergence_on_the_first_step_of_a_block(step_at):
     incs = np.full(1000 + k.MAX_BLOCK + 1, BIG)
     incs[step_at] = 1e13
     _, ks, status = _assert_matches_loop(_scripted_step(incs), np.zeros(2), 1000, 0.5, 3, 1e12, 1)
-    assert (status, int(ks[-1])) == (k.STOP_DIVERGED, step_at)
+    assert (status, int(ks[-1])) == (k.DIVERGED, step_at)
 
 
 def test_divergence_outranks_convergence():
     # From a start above the guard, a zero step change is both.
     incs = np.zeros(k.FIRST_BLOCK + 1)
     _, ks, status = _assert_matches_loop(_scripted_step(incs), [0.0, 1e13], 10, 0.5, 1, 1e12, 1)
-    assert (status, ks.tolist()) == (k.STOP_DIVERGED, [0, 1])
+    assert (status, ks.tolist()) == (k.DIVERGED, [0, 1])
 
 
 @pytest.mark.parametrize("stride", [3, 7, 17, 100, 300])
 def test_stride_that_does_not_divide_the_blocks(stride):
     incs = np.full(1000 + k.MAX_BLOCK + 1, BIG)
     _, ks, status = _assert_matches_loop(_scripted_step(incs), np.zeros(2), 1000, 0.5, 3, 1e12, stride)
-    assert status == k.STOP_MAX_STEPS
+    assert status == k.MAX_STEPS
     assert ks.tolist() == [*range(0, 1001, stride), *([1000] if 1000 % stride else [])]
 
 
@@ -257,7 +257,7 @@ def test_stride_that_does_not_divide_the_blocks(stride):
 def test_max_steps_within_the_first_block(max_steps):
     incs = np.full(k.FIRST_BLOCK + 1, BIG)
     _, ks, status = _assert_matches_loop(_scripted_step(incs), np.zeros(2), max_steps, 0.5, 3, 1e12, 1)
-    assert status == k.STOP_MAX_STEPS
+    assert status == k.MAX_STEPS
     assert ks.tolist() == list(range(max_steps + 1))
 
 
@@ -270,7 +270,7 @@ def test_overflow_past_the_stop_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows, ks, status = k.iterate(_scripted_step(incs), np.zeros(2), 100, 0.5, 10, 1e12, 1)
-        assert (status, int(ks[-1]), np.isfinite(rows).all()) == (k.STOP_CONVERGED, 40, True)
+        assert (status, int(ks[-1]), np.isfinite(rows).all()) == (k.CONVERGED, 40, True)
         rows, ks, status = k.iterate(lambda x: M @ x, np.ones(2), 100, 1e-8, 3, 1e300, 1)
-        assert (status, ks.tolist()) == (k.STOP_DIVERGED, [0, 1, 2])
+        assert (status, ks.tolist()) == (k.DIVERGED, [0, 1, 2])
         assert not np.isfinite(rows[-1]).all()

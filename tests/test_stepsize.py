@@ -1,5 +1,7 @@
 """Step-size regions, cubic variants, and the polynomial stability toolkit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +270,12 @@ def test_certificate_matches_direct_verdict_and_general_chain(seed, n, frac):
             closed = bool((qi > 0).all() or (qi < 0).all())
             assert closed == hermite_biehler_hurwitz(imaginary_axis_parts(q))
             assert closed == (mag < 1.0)
+            # Jury's conditions for the monic z^2 + a1 z + a0, in exact
+            # rationals: 1 + a0 - |a1| is |1 -+ f|^2 and would cancel in
+            # floats when f is near +-1.
+            re, im = Fraction(fi.real), Fraction(fi.imag)
+            a0, a1 = re * re + im * im, -2 * re
+            assert closed == (abs(a0) < 1 and abs(a1) < 1 + a0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
