@@ -133,8 +133,10 @@ def _cmd_stepsize(args) -> int:
         raise ValidationError("--eps applies to --mode fixed-eps")
     if args.method != "hb" and args.rho is not None:
         raise ValidationError("--rho applies to --method hb")
+    if args.out_dir is not None and args.out_json and args.out_csv:
+        raise ValidationError("--out-dir is unused when both --out-json and --out-csv are given")
     L = load_matrix_csv(args.laplacian)
-    out_dir = Path(args.out_dir)
+    out_dir = Path(args.out_dir or ".")
     out_json = Path(args.out_json) if args.out_json else out_dir / "stepsize-region.json"
     out_csv = Path(args.out_csv) if args.out_csv else out_dir / "stepsize-scan.csv"
 
@@ -183,10 +185,13 @@ def _cmd_stepsize(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.cap is not None and args.gamma0 is None:
+        raise ValidationError("--cap applies to the growth loop, which --gamma0 enables")
     truth = SystemSpec.from_json(args.system)
     if args.gamma0 is not None:
+        cap = {} if args.cap is None else {"m_cap": args.cap}
         m, result = est.grow_sample_estimate(
-            truth, args.gamma0, m0=args.samples, m_cap=args.cap, seed=args.seed, box=args.box
+            truth, args.gamma0, m0=args.samples, seed=args.seed, box=args.box, **cap
         )
     else:
         scen = est.draw_scenarios(truth, args.samples, args.seed, box=args.box)
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=float, default=1e-3)
     p.add_argument("--rho-max", type=float, default=None)
     p.add_argument("--rho", type=float, default=None, help="step size to certify (hb)")
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=None, help="default: the working directory")
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(handler=_cmd_stepsize)
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, help="truth system JSON")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--gamma0", type=float, default=None, help="residual target; enables growth loop")
-    p.add_argument("--cap", type=int, default=200)
+    p.add_argument("--cap", type=int, default=None, help="largest sample count (growth loop)")
     p.add_argument("--box", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="result.json")

@@ -260,27 +260,45 @@ def _adjacency(L: np.ndarray, tol: float) -> np.ndarray:
     return A.T  # A[j, i]: j influences i
 
 
+def _search(offsets: list[int], targets: list[int], start: int, seen: list[bool]) -> None:
+    """Mark in ``seen`` every node that ``start`` reaches, where node u's
+    successors are ``targets[offsets[u]:offsets[u + 1]]``; an explicit stack,
+    so path length is not bounded by the recursion limit."""
+    seen[start] = True
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in targets[offsets[u]:offsets[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+
+
 def spanning_tree_root(L, tol: float = TOL_STRUCT) -> int | None:
-    """Index of a node that reaches every other node, or None if there is none."""
+    """Smallest index of a node that reaches every other node, or None if there is none.
+
+    One mother-vertex pass (Tarjan 1972) finds the only candidate: a search
+    starts at each node not yet reached, in increasing index order, and the
+    node that starts the last search is the candidate.  A node that reaches a
+    root is itself a root, so the searches started below the smallest root r
+    reach no root; r then starts a search that reaches every node left, and
+    so is the last start.  One more search from the candidate decides whether
+    it reaches everyone.  Both cost O(n + E), after the O(n^2) build of the
+    dense adjacency.
+    """
     M = _entries(L, InteractingLaplacian, "laplacian")
     n = M.shape[0]
-    if n == 1:
-        return 0
-    adj = _adjacency(M, tol)
-    for root in range(n):
-        seen = np.zeros(n, dtype=bool)
-        seen[root] = True
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(adj[u] & ~seen)[0]:
-                    seen[v] = True
-                    nxt.append(int(v))
-            frontier = nxt
-        if seen.all():
-            return root
-    return None
+    sources, targets = np.nonzero(_adjacency(M, tol))
+    offsets = np.searchsorted(sources, np.arange(n + 1)).tolist()
+    targets = targets.tolist()
+    seen = [False] * n
+    for u in range(n):
+        if not seen[u]:
+            candidate = u
+            _search(offsets, targets, u, seen)
+    seen = [False] * n
+    _search(offsets, targets, candidate, seen)
+    return candidate if all(seen) else None
 
 
 def has_spanning_tree(L, tol: float = TOL_STRUCT) -> bool:

@@ -268,6 +268,16 @@ class TestStepsize:
         assert main(base + ["--method", "hb"]) == 2
         assert main(base + ["--method", "corollary1"]) == 2
 
+    def test_out_dir_with_both_named_outputs_is_rejected(self, tmp_path, capsys):
+        # The Laplacian path does not exist: the flags are rejected before it is read.
+        out_dir = tmp_path / "never"
+        code = main(["stepsize", "--laplacian", str(tmp_path / "absent.csv"),
+                     "--out-dir", str(out_dir), "--out-json", str(tmp_path / "r.json"),
+                     "--out-csv", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_hb_json_keys(self, system_files, tmp_path, capsys):
         out_json = tmp_path / "hb.json"
         code = main(
@@ -332,6 +342,26 @@ class TestEstimateAndBounds:
         )
         assert code == 0
         assert json.loads(out.read_text())["gamma_star"] <= 1e-12
+
+    def test_estimate_cap_needs_the_growth_loop(self, tmp_path, capsys):
+        truth_path = tmp_path / "truth.json"
+        fx.fixture("sec5-coop").system.save_json(truth_path)
+        out = tmp_path / "result.json"
+        code = main(["estimate", "--system", str(truth_path), "--samples", "8",
+                     "--cap", "3", "--out", str(out)])
+        assert code == 2
+        assert "--cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_growth_reads_the_cap(self, tmp_path, capsys):
+        truth_path = tmp_path / "truth.json"
+        fx.fixture("sec5-coop").system.save_json(truth_path)
+        out = tmp_path / "result.json"
+        code = main(["estimate", "--system", str(truth_path), "--samples", "5",
+                     "--gamma0", "1e-12", "--cap", "3", "--out", str(out)])
+        assert code == 2
+        assert "m0 <= m_cap" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--seed", "-1"],

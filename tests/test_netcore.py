@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn import fixtures as fx
 from opiniondyn.errors import ValidationError
@@ -139,7 +140,95 @@ class TestSameTopology:
                 assert same_topology(a, c)
 
 
+def _roots_oracle(L, tol: float = 1e-12) -> list[int]:
+    """Every node that reaches all others: one breadth-first search per node."""
+    n = L.shape[0]
+    adj = (L < -tol).T  # adj[j, i]: j influences i
+    np.fill_diagonal(adj, False)
+    roots = []
+    for root in range(n):
+        seen = np.zeros(n, dtype=bool)
+        seen[root] = True
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in np.nonzero(adj[u] & ~seen)[0]:
+                    seen[v] = True
+                    nxt.append(int(v))
+            frontier = nxt
+        if seen.all():
+            roots.append(root)
+    return roots
+
+
+def _laplacian(W: np.ndarray) -> np.ndarray:
+    """Laplacian of influence weights ``W[i, j]``: agent j influences agent i."""
+    W = W.copy()
+    np.fill_diagonal(W, 0.0)
+    return np.diag(W.sum(axis=1)) - W
+
+
+def _planted_digraph(rng, n: int, roots: str) -> np.ndarray:
+    """Random digraph Laplacian with no root, one root, or a root block of 2-4 nodes.
+
+    A root block is strongly connected (a ring) and nobody outside it
+    influences it, so its members are exactly the roots; a single root is a
+    block of one.  With no roots, two nodes listen to nobody.
+    """
+    W = (rng.random((n, n)) < rng.uniform(0.0, 0.3)) * rng.uniform(0.5, 1.5, (n, n))
+    order = rng.permutation(n)
+    if roots == "none":
+        W[order[:2]] = 0.0
+        return _laplacian(W)
+    k = 1 if roots == "one" else int(rng.integers(2, min(4, n) + 1))
+    block, rest = order[:k], order[k:]
+    W[block] = 0.0
+    W[block, np.roll(block, 1)] = rng.uniform(0.5, 1.5, k)
+    for i, node in enumerate(rest):  # every other node hears someone already placed
+        W[node, order[rng.integers(0, k + i)]] = rng.uniform(0.5, 1.5)
+    return _laplacian(W)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    roots=st.sampled_from(["none", "one", "several"]),
+)
+def test_root_is_the_smallest_of_all_roots(seed, n, roots):
+    if n == 1:
+        roots = "one"  # a lone node is its own root
+    L = _planted_digraph(np.random.default_rng(seed), n, roots)
+    expected = _roots_oracle(L)
+    assert len(expected) == {"none": 0, "one": 1}.get(roots, len(expected))
+    assert roots != "several" or len(expected) >= 2
+    assert spanning_tree_root(L) == (min(expected) if expected else None)
+    # A rooted spanning tree exists iff the zero eigenvalue of L is simple.
+    assert has_spanning_tree(L) == (np.linalg.matrix_rank(L, tol=1e-9) == n - 1)
+
+
 class TestSpanningTree:
+    def test_single_node(self):
+        assert spanning_tree_root(np.zeros((1, 1))) == 0
+
+    def test_smallest_of_two_roots(self):
+        n = 9
+        W = np.zeros((n, n))
+        W[3, n - 1] = W[n - 1, 3] = 1.0  # 3 and n-1 hear only each other
+        W[[i for i in range(n) if i not in (3, n - 1)], 3] = 1.0
+        L = _laplacian(W)
+        assert _roots_oracle(L) == [3, n - 1]
+        assert spanning_tree_root(L) == 3
+
+    def test_long_path_rooted_at_last_index(self):
+        # Agent i listens to i + 1 only: the search must not recurse, and a
+        # search from every candidate would be quadratic here.
+        n = 2000
+        W = np.zeros((n, n))
+        W[np.arange(n - 1), np.arange(1, n)] = 1.0
+        assert spanning_tree_root(_laplacian(W)) == n - 1
+
     def test_complete_ring(self):
         assert has_spanning_tree(fx.EXAMPLE1_LAPLACIAN)
 
