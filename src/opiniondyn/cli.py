@@ -413,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("samplebound", help="exact scenario sample-size bound")
-    p.add_argument("--agents", type=int, required=True)
-    p.add_argument("--dim", type=int, default=None, help="override decision dimension (default agents^2)")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--agents", type=int, help="decision dimension agents^2")
+    size.add_argument("--dim", type=int, help="decision dimension")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--formula", choices=list(FORMULAS), default="campi")

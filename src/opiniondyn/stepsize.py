@@ -11,11 +11,13 @@ certificate for one step size.  The certificate writes each factor
 ``z^2 - 2 Re(f) z + |f|^2`` and checks its bilinear image for Hurwitz
 stability (Jury 1964); the general bilinear-transform and Hermite-Biehler
 chain below handles polynomials of any degree and serves as its oracle.
-Every route checks the spanning tree and computes the spectrum once per call.
+Every route checks the spanning tree on each call and computes the spectrum
+once per Laplacian.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._kernels import scan_magnitude
 from .errors import NumericalError, ValidationError
-from .netcore import InteractingLaplacian, has_spanning_tree
+from .netcore import InteractingLaplacian, as_matrix, has_spanning_tree
 from .spectral import eigen
 
 logger = logging.getLogger(__name__)
@@ -101,10 +103,23 @@ def _require_tree(L) -> np.ndarray:
 
 
 def nonzero_eigenvalues(L) -> np.ndarray:
-    """Laplacian eigenvalues with the structural zero removed."""
-    w = eigen(L if isinstance(L, np.ndarray) else _laplacian(L))
+    """Laplacian eigenvalues with the structural zero removed, as a read-only array.
+
+    The spectra of the last few matrices are kept, keyed by their exact
+    bytes, so the routes that one Laplacian goes through share one
+    eigendecomposition.
+    """
+    M = as_matrix(L if isinstance(L, np.ndarray) else _laplacian(L))
+    return _nonzero_spectrum(M.shape, M.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _nonzero_spectrum(shape, data: bytes) -> np.ndarray:
+    w = eigen(np.frombuffer(data).reshape(shape))
     cut = 1e-9 * max(1.0, float(np.abs(w).max()))
-    return w[np.abs(w) > cut]
+    w = w[np.abs(w) > cut]
+    w.flags.writeable = False
+    return w
 
 
 def _checked_spectrum(L) -> np.ndarray:
@@ -252,17 +267,14 @@ def epsilon_bounds(lams) -> EpsilonRange:
     |Re| < |Im| bounds it below (by a negative number, so the positive part
     is always an interval anchored at 0).
     """
-    lo, hi = -np.inf, np.inf
-    for lam in np.atleast_1d(np.asarray(lams, dtype=complex)):
-        x, y = lam.real, lam.imag
-        ax, ay = abs(x), abs(y)
-        if abs(ax - ay) <= 1e-12 * max(1.0, ax + ay):
-            continue
-        if ax > ay:
-            hi = min(hi, x / (x * x - y * y))
-        else:
-            lo = max(lo, -x / (y * y - x * x))
-    return EpsilonRange(lower=lo, upper=hi)
+    lam = np.atleast_1d(np.asarray(lams, dtype=complex))
+    x, y = lam.real, lam.imag
+    ax, ay = np.abs(x), np.abs(y)
+    live = np.abs(ax - ay) > 1e-12 * np.maximum(1.0, ax + ay)
+    c, f = live & (ax > ay), live & (ax < ay)
+    hi = np.min(x[c] / (x[c] * x[c] - y[c] * y[c]), initial=np.inf)
+    lo = np.max(-x[f] / (y[f] * y[f] - x[f] * x[f]), initial=-np.inf)
+    return EpsilonRange(lower=float(lo), upper=float(hi))
 
 
 def epsilon_range(L) -> EpsilonRange:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opiniondyn import fixtures as fx
+from opiniondyn import stepsize
 from opiniondyn.netcore import SystemSpec
 from opiniondyn.spectral import CONSENSUS, classify_system
 
@@ -93,6 +94,13 @@ def match_eigenvalue_multisets(a, b, tol: float) -> float:
         b.pop(k)
     assert worst <= tol, f"eigenvalue multisets differ by {worst:.3e}"
     return worst
+
+
+@pytest.fixture(autouse=True)
+def _fresh_spectrum_memo():
+    """Each test starts with no stored Laplacian spectrum, so that what it
+    counts or checks does not depend on which tests ran before it."""
+    stepsize._nonzero_spectrum.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -380,13 +380,20 @@ class TestEstimateAndBounds:
         assert not out.exists()
 
     def test_samplebound_output(self, capsys):
-        assert main(["samplebound", "--agents", "2", "--dim", "1",
-                     "--eps", "0.1", "--beta", "0.01"]) == 0
+        assert main(["samplebound", "--dim", "1", "--eps", "0.1", "--beta", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "m=44" in out and "tail=" in out
         assert main(["samplebound", "--agents", "2", "--eps", "0.1", "--beta", "0.01",
                      "--formula", "paper"]) == 0
         assert "m=48" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", [[], ["--agents", "99", "--dim", "1"]])
+    def test_samplebound_takes_exactly_one_of_agents_and_dim(self, size, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["samplebound", *size, "--eps", "0.1", "--beta", "0.01"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--agents" in err and "--dim" in err
 
 
 class TestReproduce:

@@ -170,6 +170,36 @@ def test_scan_parity():
         np.testing.assert_allclose(a, ref, atol=1e-13)
 
 
+def _scan_magnitude_whole(rhos, lams, eps, eps_is_rho):
+    # The same expression as the kernel's, over all rhos in one block.
+    r = np.asarray(rhos, dtype=float)[:, None]
+    lam = np.asarray(lams, dtype=complex)[None, :]
+    e = r if eps_is_rho else eps
+    z = r * lam
+    np.subtract(1.0, z, out=z)
+    quad = e * r * lam
+    quad *= lam
+    z += quad
+    return np.abs(z).max(axis=1)
+
+
+@pytest.mark.parametrize("n_lams,n_rhos", [
+    (1, 10),
+    (7, 3 * (k.SCAN_CELLS // 7) + 1),
+    (300, 2000),
+    (300, k.SCAN_CELLS // 300),
+    (300, k.SCAN_CELLS // 300 + 1),
+    (k.SCAN_CELLS + 5, 3),
+])
+def test_scan_blocks_match_one_block_bitwise(n_lams, n_rhos):
+    rng = np.random.default_rng(n_lams + n_rhos)
+    lams = rng.uniform(0.0, 3.0, n_lams) + 1j * rng.uniform(-2.0, 2.0, n_lams)
+    rhos = np.linspace(1e-3, 2.0, n_rhos)
+    for eps, eps_is_rho in ((0.0, True), (0.3, False)):
+        a = k.scan_magnitude(rhos, lams, eps, eps_is_rho)
+        np.testing.assert_array_equal(a, _scan_magnitude_whole(rhos, lams, eps, eps_is_rho))
+
+
 def test_scan_empty_spectrum():
     rhos = np.array([0.5, 1.0])
     out = k.scan_magnitude(rhos, np.empty(0, dtype=complex), 0.0, True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opiniondyn import stepsize
 from opiniondyn.errors import ValidationError
 from opiniondyn.netcore import SystemSpec
 from opiniondyn.spectral import CONSENSUS, classify_system, eigen
@@ -17,6 +18,7 @@ from opiniondyn.stepsize import (
     bilinear_transform,
     cubic_coefficients,
     cubic_real_roots,
+    direct_scan,
     epsilon_bounds,
     epsilon_range,
     feasible_rho_bound,
@@ -130,6 +132,39 @@ class TestEpsilonRange:
             assert star.real.min() > 0
         beyond = lams - (r.upper + 1e-3) * lams**2
         assert beyond.real.min() <= 0
+
+
+def _epsilon_bounds_loop(lams):
+    # Reference: one eigenvalue at a time, skipping |Re| = |Im| up to rounding.
+    lo, hi = -np.inf, np.inf
+    for lam in np.atleast_1d(np.asarray(lams, dtype=complex)):
+        x, y = lam.real, lam.imag
+        ax, ay = abs(x), abs(y)
+        if abs(ax - ay) <= 1e-12 * max(1.0, ax + ay):
+            continue
+        if ax > ay:
+            hi = min(hi, x / (x * x - y * y))
+        else:
+            lo = max(lo, -x / (y * y - x * x))
+    return lo, hi
+
+
+def _eigenvalue_strategy():
+    part = st.floats(-50.0, 50.0).map(lambda v: v + 0.0)  # no -0.0
+    return st.one_of(
+        st.builds(complex, part, part),
+        st.builds(complex, part),  # real
+        st.builds(lambda x, sign: complex(x, sign * x), part, st.sampled_from([1.0, -1.0])),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lams=st.lists(_eigenvalue_strategy(), max_size=12))
+def test_epsilon_bounds_match_the_per_eigenvalue_loop(lams):
+    got = epsilon_bounds(lams)
+    lo, hi = _epsilon_bounds_loop(lams)
+    assert np.float64(got.lower).tobytes() == np.float64(lo).tobytes()
+    assert np.float64(got.upper).tobytes() == np.float64(hi).tobytes()
 
 
 class TestCubic:
@@ -461,3 +496,53 @@ class TestFeasibleRegionType:
     def test_pair_type_holds_split_parts(self):
         pair = PolynomialPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert pair.s_coeffs[0] == 1.0 and pair.q_coeffs[1] == 1.0
+
+
+class TestSpectrumMemo:
+    """One eigendecomposition per Laplacian, shared read-only by every route."""
+
+    def test_the_routes_on_one_laplacian_make_one_eigendecomposition(self, monkeypatch):
+        L = random_spanning_tree_laplacian(np.random.default_rng(5), 12)
+        calls = []
+        eigen_ = stepsize.eigen
+        monkeypatch.setattr(stepsize, "eigen", lambda M: calls.append(1) or eigen_(M))
+        feasible_rho_direct(L, rho_max=2.0)
+        cubic = feasible_rho_cubic(L, rho_max=2.0)
+        hb_step_check(L, 0.5 * cubic.intervals[0][1])
+        eps = 0.5 * min(1.0, epsilon_range(L).upper)
+        feasible_rho_bound(L, eps)
+        assert len(calls) == 1
+
+    def test_memoized_spectrum_is_bitwise_a_fresh_one(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            L = random_spanning_tree_laplacian(rng, int(rng.integers(2, 41)))
+            w = eigen(L)
+            fresh = w[np.abs(w) > 1e-9 * max(1.0, float(np.abs(w).max()))]
+            for _ in range(2):  # a miss, then a hit
+                got = nonzero_eigenvalues(L)
+                assert got.dtype == fresh.dtype and got.tobytes() == fresh.tobytes()
+
+    def test_a_returned_spectrum_cannot_be_written(self):
+        want = nonzero_eigenvalues(L3_CYCLE).copy()
+        with pytest.raises(ValueError):
+            nonzero_eigenvalues(L3_CYCLE)[0] = 0.0
+        with pytest.raises(ValueError):
+            hb_step_check(L3_CYCLE, 0.1).eigenvalues[:] = 0.0
+        np.testing.assert_array_equal(nonzero_eigenvalues(L3_CYCLE), want)
+        np.testing.assert_array_equal(hb_step_check(L3_CYCLE, 0.1).eigenvalues, want)
+
+    @pytest.mark.parametrize("call", [
+        lambda L: direct_scan(L),
+        lambda L: feasible_rho_direct(L),
+        lambda L: feasible_rho_cubic(L),
+        lambda L: hb_step_check(L, 0.1),
+        lambda L: epsilon_range(L),
+        lambda L: feasible_rho_bound(L, 0.1),
+    ])
+    def test_a_treeless_graph_is_rejected_on_every_call(self, call):
+        split = np.kron(np.eye(2), L2)
+        nonzero_eigenvalues(split)  # its spectrum is stored; the tree check still runs
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                call(split)
