@@ -14,12 +14,6 @@ from .errors import (
     ValidationError,
 )
 from .netcore import (
-    AppraisalMatrix,
-    ConversionParams,
-    InteractingLaplacian,
-    MiDSMatrix,
-    StochasticMatrix,
-    SusceptibilityMatrix,
     SystemSpec,
     abs_matrix,
     appraisal_kind,

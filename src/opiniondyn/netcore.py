@@ -3,10 +3,10 @@
 The model couples a public interacting network (a directed-graph Laplacian
 ``L``), a private appraisal network (a signed, row-normalized matrix ``D``),
 per-agent susceptibility gains (a nonsingular diagonal ``Lambda``), and an
-optional issue-coupling matrix ``C``.  This module owns the validated
-representations, CSV/JSON ingestion, conversions between stochastic and
-Laplacian forms, and the graph-topology predicates the analysis layers rely
-on.
+optional issue-coupling matrix ``C``.  This module owns the structural
+checks (each returns the checked input as a plain array, or the appraisal
+kind), CSV/JSON ingestion, conversions between stochastic and Laplacian
+forms, and the graph-topology predicates the analysis layers rely on.
 """
 
 from __future__ import annotations
@@ -46,152 +46,61 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class ConversionParams:
-    """Step size used to move between stochastic and Laplacian forms."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+def _positive_epsilon(eps) -> float:
+    eps = float(eps)
+    if not np.isfinite(eps) or eps <= 0:
+        raise ValidationError(f"epsilon must be positive, got {eps}")
+    return eps
 
 
-@dataclass(frozen=True)
-class InteractingLaplacian:
-    """Row-sum-zero influence Laplacian of the public network.
+def check_laplacian(L) -> np.ndarray:
+    """``L`` as a float array, checked to be the influence Laplacian of the
+    public network.
 
-    Off-diagonal entries are nonpositive (edge weights enter negated) and the
-    diagonal is nonnegative; every row sums to zero within ``tol``.
+    Off-diagonal entries are nonpositive (edge weights enter negated), the
+    diagonal is nonnegative, and every row sums to zero, each within
+    ``TOL_STRUCT`` relative to the largest entry.
     """
-
-    entries: np.ndarray
-    tol: float = TOL_STRUCT
-
-    def __post_init__(self):
-        M = as_matrix(self.entries, "laplacian")
-        scale = max(1.0, float(np.abs(M).max()))
-        rows = M.sum(axis=1)
-        if np.abs(rows).max() > self.tol * scale:
-            raise ValidationError(
-                f"laplacian rows must sum to 0, worst residual {np.abs(rows).max():.3e}"
-            )
-        off = M - np.diag(np.diag(M))
-        if off.max() > self.tol * scale:
-            raise ValidationError("laplacian off-diagonal entries must be <= 0")
-        if np.diag(M).min() < -self.tol * scale:
-            raise ValidationError("laplacian diagonal entries must be >= 0")
-        object.__setattr__(self, "entries", M)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    M = as_matrix(L, "laplacian")
+    scale = max(1.0, float(np.abs(M).max()))
+    rows = M.sum(axis=1)
+    if np.abs(rows).max() > TOL_STRUCT * scale:
+        raise ValidationError(
+            f"laplacian rows must sum to 0, worst residual {np.abs(rows).max():.3e}"
+        )
+    off = M - np.diag(np.diag(M))
+    if off.max() > TOL_STRUCT * scale:
+        raise ValidationError("laplacian off-diagonal entries must be <= 0")
+    if np.diag(M).min() < -TOL_STRUCT * scale:
+        raise ValidationError("laplacian diagonal entries must be >= 0")
+    return M
 
 
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """Nonnegative matrix whose rows each sum to one within ``tol``."""
-
-    entries: np.ndarray
-    tol: float = TOL_STRUCT
-
-    def __post_init__(self):
-        M = as_matrix(self.entries, "stochastic matrix")
-        if M.min() < -self.tol:
-            raise ValidationError("stochastic matrix entries must be >= 0")
-        rows = M.sum(axis=1)
-        if np.abs(rows - 1.0).max() > self.tol * max(1.0, float(np.abs(M).max())):
-            raise ValidationError(
-                f"stochastic matrix rows must sum to 1, worst residual "
-                f"{np.abs(rows - 1.0).max():.3e}"
-            )
-        object.__setattr__(self, "entries", M)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+def check_stochastic(P) -> np.ndarray:
+    """``P`` as a float array, checked to be nonnegative with unit row sums."""
+    M = as_matrix(P, "stochastic matrix")
+    if M.min() < -TOL_STRUCT:
+        raise ValidationError("stochastic matrix entries must be >= 0")
+    rows = M.sum(axis=1)
+    if np.abs(rows - 1.0).max() > TOL_STRUCT * max(1.0, float(np.abs(M).max())):
+        raise ValidationError(
+            f"stochastic matrix rows must sum to 1, worst residual "
+            f"{np.abs(rows - 1.0).max():.3e}"
+        )
+    return M
 
 
-@dataclass(frozen=True)
-class AppraisalMatrix:
-    """Signed private-appraisal weights with row-normalized total influence.
+def check_appraisal(D) -> str:
+    """The kind of the signed private-appraisal matrix ``D``, after its checks.
 
     Every row's absolute sum lies in (0, 1]; an antagonistic matrix (one with
-    any negative weight) must have absolute row sums exactly 1.  ``kind`` is
-    inferred when not given and cross-checked when it is.
+    any negative weight) must have absolute row sums exactly 1.
     """
-
-    entries: np.ndarray
-    kind: str | None = None
-    tol: float = TOL_STRUCT
-
-    def __post_init__(self):
-        M = as_matrix(self.entries, "appraisal matrix")
-        inferred = appraisal_kind(M, tol=self.tol)
-        if self.kind is None:
-            object.__setattr__(self, "kind", inferred)
-        elif self.kind != inferred:
-            raise ValidationError(
-                f"declared appraisal kind {self.kind!r} but entries are {inferred!r}"
-            )
-        if self.kind == ANTAGONISTIC:
-            sums = np.abs(M).sum(axis=1)
-            if np.abs(sums - 1.0).max() > self.tol:
-                raise ValidationError(
-                    "antagonistic appraisal rows must have absolute sum exactly 1"
-                )
-        object.__setattr__(self, "entries", M)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SusceptibilityMatrix:
-    """Diagonal of per-agent susceptibility gains; every entry is nonzero."""
-
-    diag: np.ndarray
-    tol: float = TOL_STRUCT
-
-    def __post_init__(self):
-        d = as_vector(self.diag, "susceptibility diagonal")
-        if np.abs(d).min() <= self.tol:
-            raise ValidationError("susceptibility factors must be nonzero")
-        object.__setattr__(self, "diag", d)
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-
-@dataclass(frozen=True)
-class MiDSMatrix:
-    """Issue-coupling matrix over the n interdependent topics."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", as_matrix(self.entries, "issue coupling"))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def _entries(x, wrapper, name: str) -> np.ndarray:
-    if isinstance(x, wrapper):
-        return x.entries
-    return wrapper(x).entries  # validates raw input
-
-
-def _epsilon(params) -> float:
-    if isinstance(params, ConversionParams):
-        return params.epsilon
-    return ConversionParams(float(params)).epsilon
+    M = as_matrix(D, "appraisal matrix")
+    kind = appraisal_kind(M)
+    if kind == ANTAGONISTIC and np.abs(np.abs(M).sum(axis=1) - 1.0).max() > TOL_STRUCT:
+        raise ValidationError("antagonistic appraisal rows must have absolute sum exactly 1")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -199,63 +108,62 @@ def _epsilon(params) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stochastic_to_laplacian(P, params) -> InteractingLaplacian:
+def stochastic_to_laplacian(P, eps) -> np.ndarray:
     """Return the Laplacian L with I - eps*L = P."""
-    M = _entries(P, StochasticMatrix, "stochastic matrix")
-    eps = _epsilon(params)
-    return InteractingLaplacian((np.eye(M.shape[0]) - M) / eps)
+    M = check_stochastic(P)
+    return check_laplacian((np.eye(M.shape[0]) - M) / _positive_epsilon(eps))
 
 
-def laplacian_to_stochastic(L, params) -> StochasticMatrix:
+def laplacian_to_stochastic(L, eps) -> np.ndarray:
     """Invert :func:`stochastic_to_laplacian`; eps must keep I - eps*L nonnegative."""
-    M = _entries(L, InteractingLaplacian, "laplacian")
-    eps = _epsilon(params)
+    M = check_laplacian(L)
+    eps = _positive_epsilon(eps)
     P = np.eye(M.shape[0]) - eps * M
     if P.min() < -TOL_STRUCT:
         raise ValidationError(
             f"eps={eps} produces a negative entry ({P.min():.3e}); "
             f"need eps*max(diag) <= 1"
         )
-    return StochasticMatrix(np.clip(P, 0.0, None))
+    return check_stochastic(np.clip(P, 0.0, None))
 
 
-def abs_matrix(D) -> StochasticMatrix:
-    """Entrywise absolute value of a unit-row-normalized appraisal matrix."""
-    M = D.entries if isinstance(D, AppraisalMatrix) else as_matrix(D, "appraisal matrix")
-    sums = np.abs(M).sum(axis=1)
-    if np.abs(sums - 1.0).max() > TOL_STRUCT:
+def abs_matrix(D) -> np.ndarray:
+    """Entrywise absolute value of a unit-row-normalized appraisal matrix, a
+    stochastic matrix."""
+    A = np.abs(as_matrix(D, "appraisal matrix"))
+    if np.abs(A.sum(axis=1) - 1.0).max() > TOL_STRUCT:
         raise ValidationError(
             "absolute row sums must equal 1 to form the unsigned companion matrix"
         )
-    return StochasticMatrix(np.abs(M))
+    return A
 
 
-def appraisal_kind(D, tol: float = TOL_STRUCT) -> str:
+def appraisal_kind(D) -> str:
     """Classify an appraisal matrix as cooperative (all weights >= 0) or antagonistic."""
-    M = D.entries if isinstance(D, AppraisalMatrix) else as_matrix(D, "appraisal matrix")
+    M = as_matrix(D, "appraisal matrix")
     sums = np.abs(M).sum(axis=1)
-    if sums.min() <= tol:
+    if sums.min() <= TOL_STRUCT:
         raise ValidationError("every appraisal row needs at least one nonzero weight")
-    if sums.max() > 1.0 + tol:
+    if sums.max() > 1.0 + TOL_STRUCT:
         raise ValidationError(
             f"appraisal row absolute sums must be <= 1, worst {sums.max():.12g}"
         )
-    return COOPERATIVE if M.min() >= -tol else ANTAGONISTIC
+    return COOPERATIVE if M.min() >= -TOL_STRUCT else ANTAGONISTIC
 
 
-def same_topology(A, B, tol: float = TOL_STRUCT) -> bool:
+def same_topology(A, B) -> bool:
     """True when the two matrices carry edges (nonzero entries) at the same positions."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValidationError(f"shape mismatch {A.shape} vs {B.shape}")
-    return bool(np.array_equal(np.abs(A) > tol, np.abs(B) > tol))
+    return bool(np.array_equal(np.abs(A) > TOL_STRUCT, np.abs(B) > TOL_STRUCT))
 
 
-def _adjacency(L: np.ndarray, tol: float) -> np.ndarray:
+def _adjacency(L: np.ndarray) -> np.ndarray:
     # Edge j -> i whenever l_ij is a genuine negative weight.
     A = np.zeros_like(L, dtype=bool)
-    np.copyto(A, L < -tol)
+    np.copyto(A, L < -TOL_STRUCT)
     np.fill_diagonal(A, False)
     return A.T  # A[j, i]: j influences i
 
@@ -274,7 +182,7 @@ def _search(offsets: list[int], targets: list[int], start: int, seen: list[bool]
                 stack.append(v)
 
 
-def spanning_tree_root(L, tol: float = TOL_STRUCT) -> int | None:
+def spanning_tree_root(L) -> int | None:
     """Smallest index of a node that reaches every other node, or None if there is none.
 
     One mother-vertex pass (Tarjan 1972) finds the only candidate: a search
@@ -286,9 +194,9 @@ def spanning_tree_root(L, tol: float = TOL_STRUCT) -> int | None:
     it reaches everyone.  Both cost O(n + E), after the O(n^2) build of the
     dense adjacency.
     """
-    M = _entries(L, InteractingLaplacian, "laplacian")
+    M = check_laplacian(L)
     n = M.shape[0]
-    sources, targets = np.nonzero(_adjacency(M, tol))
+    sources, targets = np.nonzero(_adjacency(M))
     offsets = np.searchsorted(sources, np.arange(n + 1)).tolist()
     targets = targets.tolist()
     seen = [False] * n
@@ -301,8 +209,8 @@ def spanning_tree_root(L, tol: float = TOL_STRUCT) -> int | None:
     return candidate if all(seen) else None
 
 
-def has_spanning_tree(L, tol: float = TOL_STRUCT) -> bool:
-    return spanning_tree_root(L, tol=tol) is not None
+def has_spanning_tree(L) -> bool:
+    return spanning_tree_root(L) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +267,12 @@ class SystemSpec:
             raise ValidationError("system has no issue-coupling matrix")
         return np.kron(self.iteration_matrix(), self.mids)
 
-    def validate_structure(self, tol: float = TOL_STRUCT) -> str:
+    def validate_structure(self) -> str:
         """Run the full structural checks; returns the appraisal kind."""
-        InteractingLaplacian(self.laplacian, tol=tol)
-        SusceptibilityMatrix(self.lam, tol=tol)
-        kind = AppraisalMatrix(self.appraisal, tol=tol).kind
-        if self.mids is not None:
-            MiDSMatrix(self.mids)
-        return kind
+        check_laplacian(self.laplacian)
+        if np.abs(self.lam).min() <= TOL_STRUCT:
+            raise ValidationError("susceptibility factors must be nonzero")
+        return check_appraisal(self.appraisal)
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -383,7 +289,7 @@ class SystemSpec:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     @classmethod
-    def from_json_dict(cls, doc: dict, tol: float = TOL_STRUCT) -> "SystemSpec":
+    def from_json_dict(cls, doc: dict) -> "SystemSpec":
         for key in ("lambda", "laplacian", "appraisal"):
             if key not in doc:
                 raise ValidationError(f"system document is missing field {key!r}")
@@ -399,11 +305,11 @@ class SystemSpec:
             appraisal=doc["appraisal"],
             mids=mids,
         )
-        spec.validate_structure(tol=tol)
+        spec.validate_structure()
         return spec
 
     @classmethod
-    def from_json(cls, path, tol: float = TOL_STRUCT) -> "SystemSpec":
+    def from_json(cls, path) -> "SystemSpec":
         p = Path(path)
         if not p.exists():
             raise ValidationError(f"system file not found: {p}")
@@ -413,7 +319,7 @@ class SystemSpec:
             raise ValidationError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}")
         if not isinstance(doc, dict):
             raise ValidationError(f"{p}: expected a JSON object")
-        return cls.from_json_dict(doc, tol=tol)
+        return cls.from_json_dict(doc)
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -201,15 +201,15 @@ def predict_limit(
     return LimitPrediction(phi=phi, alpha=alpha if report.classification == CONSENSUS else None)
 
 
-def antagonistic_consensus_structure(D, tol: float = TOL_STRUCT) -> str:
+def antagonistic_consensus_structure(D) -> str:
     """Row-sum signature that decides whether an antagonistic appraisal can reach consensus."""
     D = np.asarray(D, dtype=float)
-    if appraisal_kind(D, tol=tol) != "antagonistic":
+    if appraisal_kind(D) != "antagonistic":
         raise ValidationError("structure test applies to antagonistic appraisal matrices")
     sums = D.sum(axis=1)
-    if np.abs(sums).max() <= tol:
+    if np.abs(sums).max() <= TOL_STRUCT:
         return ROW_SUMS_ZERO
-    if np.abs(sums + 1.0).max() <= tol:
+    if np.abs(sums + 1.0).max() <= TOL_STRUCT:
         return ROW_SUMS_MINUS_ONE
     return NEITHER
 
@@ -219,9 +219,9 @@ def classify_multi_issue(sys: SystemSpec, tol_eig: float = TOL_EIG) -> str:
 
     Requires the issue-free part to carry a simple unit eigenvalue; the
     coupled system is stable when the coupling spectrum sits strictly inside
-    the unit disk, and convergent when the coupling's dominant eigenvalue
-    (magnitude at most one) pairs with the issue-free second-largest mode to
-    a product inside the disk.
+    the unit disk, and convergent when the powers of the coupling have a
+    limit (:func:`powers_converge`) and its dominant eigenvalue pairs with
+    the issue-free second-largest mode to a product inside the disk.
     """
     if sys.mids is None:
         raise ValidationError("system has no issue-coupling matrix")
@@ -231,17 +231,18 @@ def classify_multi_issue(sys: SystemSpec, tol_eig: float = TOL_EIG) -> str:
             "issue-free system must have a simple unit eigenvalue with the rest "
             f"inside the unit disk; got {base.classification!r}"
         )
-    mu_max = float(np.abs(eigen(sys.mids)).max())
+    w = eigen(sys.mids)
+    mu_max = float(np.abs(w).max())
     if mu_max < 1.0 - tol_eig:
         return "stable"
-    if base.rho_rest * mu_max < 1.0 - tol_eig and mu_max <= 1.0 + tol_eig:
-        return "convergent"
     if mu_max > 1.0 + tol_eig:
         logger.info(
             "coupling spectral radius %.6g exceeds 1; unit mode of the issue-free "
             "system amplifies and the product test is moot",
             mu_max,
         )
+    elif base.rho_rest * mu_max < 1.0 - tol_eig and _powers_converge(sys.mids, w, tol_eig):
+        return "convergent"
     return DIVERGENT
 
 
@@ -252,7 +253,11 @@ def powers_converge(C, tol_eig: float = TOL_EIG) -> bool:
     a semisimple eigenvalue 1.
     """
     C = as_matrix(C, "issue coupling")
-    w = eigen(C)
+    return _powers_converge(C, eigen(C), tol_eig)
+
+
+def _powers_converge(C: np.ndarray, w: np.ndarray, tol_eig: float) -> bool:
+    """:func:`powers_converge` for a checked matrix ``C`` with eigenvalues ``w``."""
     unit = np.abs(w - 1.0) <= tol_eig
     others = np.abs(w[~unit])
     if others.size and others.max() >= 1.0 - tol_eig:

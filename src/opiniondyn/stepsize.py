@@ -11,8 +11,9 @@ certificate for one step size.  The certificate writes each factor
 ``z^2 - 2 Re(f) z + |f|^2`` and checks its bilinear image for Hurwitz
 stability (Jury 1964); the general bilinear-transform and Hermite-Biehler
 chain below handles polynomials of any degree and serves as its oracle.
-Every route checks the spanning tree on each call and computes the spectrum
-once per Laplacian.
+Every route checks the spanning tree on each call (the tree predicate runs
+the Laplacian's structural check first), checks the Laplacian once more in
+``nonzero_eigenvalues``, and computes the spectrum once per Laplacian.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._kernels import scan_magnitude
 from .errors import NumericalError, ValidationError
-from .netcore import InteractingLaplacian, as_matrix, has_spanning_tree
+from .netcore import check_laplacian, has_spanning_tree
 from .spectral import eigen
 
 logger = logging.getLogger(__name__)
@@ -90,16 +91,11 @@ class StepSizeDiagnostics:
     direct_verdict: bool
 
 
-def _laplacian(L) -> np.ndarray:
-    return L.entries if isinstance(L, InteractingLaplacian) else InteractingLaplacian(L).entries
-
-
-def _require_tree(L) -> np.ndarray:
-    """Validated Laplacian entries, rejected unless the graph has a rooted spanning tree."""
-    M = _laplacian(L)
-    if not has_spanning_tree(M):
+def _require_tree(L) -> None:
+    """Reject a Laplacian whose graph has no rooted spanning tree; the tree
+    predicate runs the structural check first."""
+    if not has_spanning_tree(L):
         raise ValidationError("the interacting graph has no rooted spanning tree")
-    return M
 
 
 def nonzero_eigenvalues(L) -> np.ndarray:
@@ -109,7 +105,7 @@ def nonzero_eigenvalues(L) -> np.ndarray:
     bytes, so the routes that one Laplacian goes through share one
     eigendecomposition.
     """
-    M = as_matrix(L if isinstance(L, np.ndarray) else _laplacian(L))
+    M = check_laplacian(L)
     return _nonzero_spectrum(M.shape, M.tobytes())
 
 
@@ -124,7 +120,8 @@ def _nonzero_spectrum(shape, data: bytes) -> np.ndarray:
 
 def _checked_spectrum(L) -> np.ndarray:
     """Nonzero eigenvalues of a Laplacian whose graph has a rooted spanning tree."""
-    return nonzero_eigenvalues(_require_tree(L))
+    _require_tree(L)
+    return nonzero_eigenvalues(L)
 
 
 def _checked_number(name: str, value, positive: bool = True) -> float:
@@ -161,7 +158,7 @@ def magnitude_samples(
         eps_val, eps_is_rho = 0.0, True
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    lams = nonzero_eigenvalues(_laplacian(L))
+    lams = nonzero_eigenvalues(L)
     if rho_max is None:
         # The fixed-eps iteration is affine in rho through the shifted
         # spectrum, so the cap must come from that spectrum.
@@ -203,9 +200,8 @@ def direct_scan(
     rho_max: float | None = None,
 ):
     """The direct region together with the ``magnitude_samples`` it came from."""
-    samples = magnitude_samples(
-        _require_tree(L), mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max
-    )
+    _require_tree(L)
+    samples = magnitude_samples(L, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max)
     rhos, mags, lams, eps_val, eps_is_rho, rho_max = samples
     if lams.size == 0:
         return FeasibleRegion(((0.0, rho_max),), "direct_scan", rho_max), samples

@@ -304,9 +304,9 @@ def test_criterion_9_structural_sweeps():
             P = random_stochastic(rng, n)
             eps = float(rng.uniform(0.05, 1.0))
             L = stochastic_to_laplacian(P, eps)
-            assert np.abs(L.entries.sum(axis=1)).max() <= 1e-12
+            assert np.abs(L.sum(axis=1)).max() <= 1e-12
             back = laplacian_to_stochastic(L, eps)
-            assert np.abs(back.entries - P).max() <= 1e-12
+            assert np.abs(back - P).max() <= 1e-12
 
         for _ in range(1000):  # shared-topology equivalence relation
             n = int(rng.integers(2, 5))

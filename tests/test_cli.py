@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opiniondyn
 from opiniondyn import fixtures as fx
 from opiniondyn import simulate as sim
 from opiniondyn import stepsize
@@ -65,6 +67,28 @@ OPTIONS = {
     "reproduce": {"name", "--seed", "--out-dir"},
     "fixtures": set(),
 }
+
+
+# Every public name of the package, so that an export change is deliberate.
+PUBLIC_NAMES = [
+    "AmbiguousSpectrumError", "EstimationResult", "FeasibleRegion", "LimitPrediction",
+    "NumericalError", "OpinionDynError", "PolynomialPair", "SampleBoundQuery", "ScenarioSet",
+    "SpectralReport", "SystemSpec", "Trajectory", "ValidationError", "abs_matrix",
+    "appraisal_kind", "bilinear_transform", "classify_multi_issue", "classify_system",
+    "draw_scenarios", "eigen", "empirical_violation", "epsilon_range", "feasible_rho_bound",
+    "feasible_rho_cubic", "feasible_rho_direct", "grow_sample_estimate", "has_spanning_tree",
+    "hb_step_check", "hermite_biehler_hurwitz", "imaginary_axis_parts",
+    "laplacian_to_stochastic", "powers_converge", "predict_limit", "run", "run_multi_issue",
+    "same_topology", "sample_bound", "solve_estimation", "spanning_tree_root",
+    "stochastic_to_laplacian",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules become package attributes when imported, so they are left out.
+    found = sorted(name for name, value in vars(opiniondyn).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert found == PUBLIC_NAMES
 
 
 class TestParser:
@@ -174,6 +198,25 @@ class TestAnalyze:
             "appraisal": [[0.5, 0.5], [0.5, 0.5]],
         }))
         assert main(["analyze", "--system", str(bad)]) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("laplacian", [[1.0, -0.5], [-1.0, 1.0]],
+         "laplacian rows must sum to 0, worst residual 5.000e-01"),
+        ("appraisal", [[0.4, -0.4], [0.3, 0.3]],
+         "antagonistic appraisal rows must have absolute sum exactly 1"),
+        ("lambda", [1.0, 0.0], "susceptibility factors must be nonzero"),
+    ])
+    def test_structural_error_exit_code(self, tmp_path, capsys, field, value, message):
+        doc = {
+            "lambda": [1.0, 1.0],
+            "laplacian": [[1.0, -1.0], [-1.0, 1.0]],
+            "appraisal": [[0.5, 0.5], [0.5, 0.5]],
+        }
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", "--system", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulate:

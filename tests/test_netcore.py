@@ -1,20 +1,21 @@
 """Structural primitives: conversions, topology predicates, file formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opiniondyn import fixtures as fx
+from opiniondyn import stepsize
 from opiniondyn.errors import ValidationError
 from opiniondyn.netcore import (
-    AppraisalMatrix,
-    ConversionParams,
-    InteractingLaplacian,
-    StochasticMatrix,
-    SusceptibilityMatrix,
     SystemSpec,
     abs_matrix,
     appraisal_kind,
+    check_appraisal,
+    check_laplacian,
+    check_stochastic,
     has_spanning_tree,
     laplacian_to_stochastic,
     load_matrix_csv,
@@ -30,17 +31,17 @@ from conftest import random_laplacian, random_spanning_tree_laplacian, random_st
 
 class TestConversions:
     def test_measured_influence_matrix(self):
-        L = stochastic_to_laplacian(fx.INFLUENCE_P, ConversionParams(1.0))
-        np.testing.assert_allclose(L.entries[0], [0.78, -0.12, -0.36, -0.3], atol=1e-15)
-        np.testing.assert_allclose(L.entries, fx.INFLUENCE_LAPLACIAN, atol=1e-15)
+        L = stochastic_to_laplacian(fx.INFLUENCE_P, 1.0)
+        np.testing.assert_allclose(L[0], [0.78, -0.12, -0.36, -0.3], atol=1e-15)
+        np.testing.assert_allclose(L, fx.INFLUENCE_LAPLACIAN, atol=1e-15)
 
     def test_identity_maps_to_zero(self):
         L = stochastic_to_laplacian(np.eye(3), 0.7)
-        np.testing.assert_array_equal(L.entries, np.zeros((3, 3)))
+        np.testing.assert_array_equal(L, np.zeros((3, 3)))
 
     def test_swap_matrix(self):
         L = stochastic_to_laplacian(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-        np.testing.assert_allclose(L.entries, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(L, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -52,16 +53,16 @@ class TestConversions:
 
     def test_inverse_zero_laplacian(self):
         P = laplacian_to_stochastic(np.zeros((3, 3)), 1.0)
-        np.testing.assert_array_equal(P.entries, np.eye(3))
+        np.testing.assert_array_equal(P, np.eye(3))
 
     def test_inverse_half_step(self):
         P = laplacian_to_stochastic(np.array([[1.0, -1.0], [-1.0, 1.0]]), 0.5)
-        np.testing.assert_allclose(P.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(P, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_round_trip_measured_matrix(self):
         L = stochastic_to_laplacian(fx.INFLUENCE_P, 1.0)
         P = laplacian_to_stochastic(L, 1.0)
-        np.testing.assert_allclose(P.entries, fx.INFLUENCE_P, atol=1e-14)
+        np.testing.assert_allclose(P, fx.INFLUENCE_P, atol=1e-14)
 
     def test_inverse_rejects_large_eps(self):
         with pytest.raises(ValidationError):
@@ -74,21 +75,21 @@ class TestConversions:
             P = random_stochastic(rng, n)
             eps = float(rng.uniform(0.05, 1.0))
             L = stochastic_to_laplacian(P, eps)
-            assert np.abs(L.entries.sum(axis=1)).max() <= 1e-12
+            assert np.abs(L.sum(axis=1)).max() <= 1e-12
             back = laplacian_to_stochastic(L, eps)
-            np.testing.assert_allclose(back.entries, P, atol=1e-12)
+            np.testing.assert_allclose(back, P, atol=1e-12)
 
 
 class TestAbsMatrix:
     def test_identity(self):
-        np.testing.assert_array_equal(abs_matrix(np.eye(3)).entries, np.eye(3))
+        np.testing.assert_array_equal(abs_matrix(np.eye(3)), np.eye(3))
 
     def test_antagonistic_row(self):
         got = abs_matrix(fx.ANTAG_APPRAISAL)
-        np.testing.assert_allclose(got.entries[0], [0.2, 0.2, 0.3, 0.3], atol=1e-15)
+        np.testing.assert_allclose(got[0], [0.2, 0.2, 0.3, 0.3], atol=1e-15)
 
     def test_negated_identity(self):
-        np.testing.assert_array_equal(abs_matrix(-np.eye(3)).entries, np.eye(3))
+        np.testing.assert_array_equal(abs_matrix(-np.eye(3)), np.eye(3))
 
     def test_rejects_non_unit_rows(self):
         with pytest.raises(ValidationError):
@@ -99,15 +100,15 @@ class TestAbsMatrix:
         for _ in range(100):
             n = int(rng.integers(2, 6))
             D = random_stochastic(rng, n) * np.sign(rng.uniform(-1, 1, (n, n)))
-            A = abs_matrix(D).entries
-            np.testing.assert_array_equal(abs_matrix(A).entries, A)
-            np.testing.assert_array_equal(abs_matrix(-D).entries, A)
+            A = abs_matrix(D)
+            np.testing.assert_array_equal(abs_matrix(A), A)
+            np.testing.assert_array_equal(abs_matrix(-D), A)
 
 
 class TestSameTopology:
     def test_matches_unsigned_companion(self):
         D = fx.ANTAG_APPRAISAL
-        assert same_topology(D, abs_matrix(D).entries)
+        assert same_topology(D, abs_matrix(D))
 
     def test_identity_vs_zero(self):
         assert not same_topology(np.eye(3), np.zeros((3, 3)))
@@ -269,28 +270,109 @@ class TestAppraisalKind:
 class TestValidators:
     def test_laplacian_invariants(self):
         with pytest.raises(ValidationError):
-            InteractingLaplacian(np.array([[1.0, -0.5], [-1.0, 1.0]]))  # rows
+            check_laplacian(np.array([[1.0, -0.5], [-1.0, 1.0]]))  # rows
         with pytest.raises(ValidationError):
-            InteractingLaplacian(np.array([[-1.0, 1.0], [1.0, -1.0]]))  # signs
+            check_laplacian(np.array([[-1.0, 1.0], [1.0, -1.0]]))  # signs
 
     def test_stochastic_invariants(self):
         with pytest.raises(ValidationError):
-            StochasticMatrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
+            check_stochastic(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
     def test_antagonistic_rows_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            AppraisalMatrix(np.array([[0.4, -0.4], [0.3, 0.3]]))
+            check_appraisal(np.array([[0.4, -0.4], [0.3, 0.3]]))
         # cooperative rows may stay below one
-        AppraisalMatrix(np.array([[0.4, 0.4], [0.3, 0.3]]))
-
-    def test_kind_cross_check(self):
-        with pytest.raises(ValidationError):
-            AppraisalMatrix(np.eye(2), kind="antagonistic")
+        assert check_appraisal(np.array([[0.4, 0.4], [0.3, 0.3]])) == "cooperative"
 
     def test_susceptibility_nonzero(self):
+        L = fx.INFLUENCE_LAPLACIAN
         with pytest.raises(ValidationError):
-            SusceptibilityMatrix(np.array([1.0, 0.0]))
-        SusceptibilityMatrix(np.array([-1.5, 2.0, 1.0, -0.5]))
+            SystemSpec(np.array([1.0, 0.0, 1.0, 1.0]), L, np.eye(4)).validate_structure()
+        SystemSpec(np.array([-1.5, 2.0, 1.0, -0.5]), L, np.eye(4)).validate_structure()
+
+
+def _system_doc(**fields) -> dict:
+    doc = {
+        "lambda": [1.0, 1.0],
+        "laplacian": [[1.0, -1.0], [-1.0, 1.0]],
+        "appraisal": [[0.5, 0.5], [0.5, 0.5]],
+    }
+    doc.update(fields)
+    return doc
+
+
+# Row 0 sums to 3e-13 and its off-diagonal entries sit within tolerance of 0,
+# so only the diagonal sign is out of bounds.
+_NEGATIVE_DIAGONAL = [[-1.5e-12, 9e-13, 9e-13], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+STRUCTURAL_ERRORS = [
+    pytest.param(
+        lambda: SystemSpec.from_json_dict(_system_doc(laplacian=[[1.0, -0.5], [-1.0, 1.0]])),
+        "laplacian rows must sum to 0, worst residual 5.000e-01",
+        id="laplacian-row-sum",
+    ),
+    pytest.param(
+        lambda: stepsize.feasible_rho_cubic([[-1.0, 1.0], [1.0, -1.0]]),
+        "laplacian off-diagonal entries must be <= 0",
+        id="laplacian-off-diagonal",
+    ),
+    pytest.param(
+        lambda: laplacian_to_stochastic(_NEGATIVE_DIAGONAL, 1.0),
+        "laplacian diagonal entries must be >= 0",
+        id="laplacian-diagonal",
+    ),
+    pytest.param(
+        lambda: stochastic_to_laplacian([[1.2, -0.2], [0.5, 0.5]], 1.0),
+        "stochastic matrix entries must be >= 0",
+        id="stochastic-sign",
+    ),
+    pytest.param(
+        lambda: stochastic_to_laplacian([[0.5, 0.6], [0.5, 0.5]], 1.0),
+        "stochastic matrix rows must sum to 1, worst residual 1.000e-01",
+        id="stochastic-row-sum",
+    ),
+    pytest.param(
+        lambda: SystemSpec.from_json_dict(_system_doc(appraisal=[[0.0, 0.0], [0.5, 0.5]])),
+        "every appraisal row needs at least one nonzero weight",
+        id="appraisal-empty-row",
+    ),
+    pytest.param(
+        lambda: SystemSpec.from_json_dict(_system_doc(appraisal=[[0.9, 0.3], [0.5, 0.5]])),
+        "appraisal row absolute sums must be <= 1, worst 1.2",
+        id="appraisal-absolute-sum",
+    ),
+    pytest.param(
+        lambda: SystemSpec.from_json_dict(_system_doc(appraisal=[[0.4, -0.4], [0.3, 0.3]])),
+        "antagonistic appraisal rows must have absolute sum exactly 1",
+        id="appraisal-antagonistic-sum",
+    ),
+    pytest.param(
+        lambda: SystemSpec.from_json_dict(_system_doc(**{"lambda": [1.0, 0.0]})),
+        "susceptibility factors must be nonzero",
+        id="susceptibility-nonzero",
+    ),
+    pytest.param(
+        lambda: stochastic_to_laplacian(np.eye(2), 0.0),
+        "epsilon must be positive, got 0.0",
+        id="epsilon-zero",
+    ),
+    pytest.param(
+        lambda: laplacian_to_stochastic(np.zeros((2, 2)), -1.0),
+        "epsilon must be positive, got -1.0",
+        id="epsilon-negative",
+    ),
+    pytest.param(
+        lambda: abs_matrix(0.5 * np.eye(2)),
+        "absolute row sums must equal 1 to form the unsigned companion matrix",
+        id="abs-matrix-unit-sum",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", STRUCTURAL_ERRORS)
+def test_structural_error_messages(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestSystemSpecAndFiles:
@@ -359,5 +441,5 @@ def test_spanning_tree_generator_is_rooted():
     for _ in range(100):
         n = int(rng.integers(2, 8))
         L = random_spanning_tree_laplacian(rng, n)
-        InteractingLaplacian(L)
+        check_laplacian(L)
         assert has_spanning_tree(L)

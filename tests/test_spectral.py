@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opiniondyn import fixtures as fx
 from opiniondyn.errors import AmbiguousSpectrumError, NumericalError, ValidationError
@@ -395,6 +396,49 @@ class TestMultiIssue:
         )
         with pytest.raises(ValidationError):
             classify_multi_issue(spec)
+
+
+def _cycle_system(C) -> SystemSpec:
+    """Consensus on a directed 3-cycle: L = 0.3 (I - P), D = I, lambda = 1."""
+    P = np.roll(np.eye(3), 1, axis=1)
+    return SystemSpec(np.ones(3), 0.3 * (np.eye(3) - P), np.eye(3), mids=C)
+
+
+@pytest.mark.parametrize("C", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]]],
+                         ids=["swap", "jordan"])
+def test_marginal_coupling_without_a_limit_is_not_convergent(C):
+    spec = _cycle_system(C)
+    assert classify_system(spec).classification == CONSENSUS
+    assert not powers_converge(C)
+    assert classify_multi_issue(spec) == DIVERGENT
+
+
+def _coupling(draw, kind: str, k: int, rng) -> np.ndarray:
+    if kind == "permutation":
+        return np.eye(k)[rng.permutation(k)]
+    if kind == "rotation":
+        t = draw(st.floats(0.1, 3.0))
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    if kind == "jordan":
+        return np.array([[1.0, 1.0], [0.0, 1.0]]) * draw(st.sampled_from([1.0, -1.0, 0.5]))
+    if kind == "stochastic":
+        return random_stochastic(rng, k)
+    inner = _coupling(draw, draw(st.sampled_from(["permutation", "rotation", "jordan",
+                                                  "stochastic"])), k, rng)
+    return draw(st.floats(0.2, 0.9)) * inner
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       k=st.integers(2, 3),
+       kind=st.sampled_from(["permutation", "rotation", "jordan", "stochastic", "damped"]))
+def test_multi_issue_verdict_certifies_that_the_powers_converge(data, seed, n, k, kind):
+    rng = np.random.default_rng(seed)
+    base = random_consensus_system(rng, n)
+    C = _coupling(data.draw, kind, k, rng)
+    spec = SystemSpec(base.lam, base.laplacian, base.appraisal, mids=C)
+    verdict = classify_multi_issue(spec)
+    assert (verdict in ("convergent", "stable")) == powers_converge(spec.multi_issue_matrix())
 
 
 class TestPowersConverge:

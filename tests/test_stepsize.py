@@ -276,6 +276,29 @@ def test_step_size_routes_reject_bad_input(call):
         call()
 
 
+@pytest.mark.parametrize("as_input", [np.array, list], ids=["ndarray", "list"])
+def test_nonzero_eigenvalues_checks_any_input_type(as_input):
+    with pytest.raises(ValidationError, match="^laplacian rows must sum to 0"):
+        nonzero_eigenvalues(as_input([[1.0, -0.5], [-1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda L: magnitude_samples(L),
+    lambda L: direct_scan(L),
+    lambda L: feasible_rho_cubic(L),
+    lambda L: hb_step_check(L, 0.1),
+    lambda L: epsilon_range(L),
+    lambda L: feasible_rho_bound(L, 0.1),
+])
+def test_each_route_checks_the_laplacian_once(call, monkeypatch):
+    # Counts stepsize's own check; the tree predicate checks its input in netcore.
+    calls = []
+    check = stepsize.check_laplacian
+    monkeypatch.setattr(stepsize, "check_laplacian", lambda L: calls.append(1) or check(L))
+    call(L2.tolist())
+    assert len(calls) == 1
+
+
 def _factors(rho, lams):
     return 1.0 - rho * lams + rho * rho * lams * lams
 
