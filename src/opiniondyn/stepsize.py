@@ -11,9 +11,12 @@ certificate for one step size.  The certificate writes each factor
 ``z^2 - 2 Re(f) z + |f|^2`` and checks its bilinear image for Hurwitz
 stability (Jury 1964); the general bilinear-transform and Hermite-Biehler
 chain below handles polynomials of any degree and serves as its oracle.
-Every route checks the spanning tree on each call (the tree predicate runs
-the Laplacian's structural check first), checks the Laplacian once more in
-``nonzero_eigenvalues``, and computes the spectrum once per Laplacian.
+The routes share a memo of the last few Laplacians, keyed by their exact
+bytes: each one is checked once, its tree verdict is found once and its
+spectrum computed once, and a graph with no rooted spanning tree is rejected
+on every call.  The magnitude scans run over the distinct ``(Re lam,
+|Im lam|)`` values, since a conjugate pair gives the same magnitude bit for
+bit, and the cubic route solves every distinct cubic in one array pass.
 """
 
 from __future__ import annotations
@@ -91,37 +94,85 @@ class StepSizeDiagnostics:
     direct_verdict: bool
 
 
-def _require_tree(L) -> None:
-    """Reject a Laplacian whose graph has no rooted spanning tree; the tree
-    predicate runs the structural check first."""
-    if not has_spanning_tree(L):
-        raise ValidationError("the interacting graph has no rooted spanning tree")
+class _Laplacian:
+    """One checked Laplacian: the matrix, and its tree verdict and nonzero
+    spectrum once something has asked for them."""
+
+    __slots__ = ("matrix", "tree", "spectrum")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.tree: bool | None = None
+        self.spectrum: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=4)
+def _checked_entry(shape: tuple, data: bytes) -> _Laplacian:
+    """The memo entry of one Laplacian, made once it passes the check; a call
+    that raises is not stored, so a bad input raises on every call."""
+    M = np.frombuffer(data).reshape(shape)
+    check_laplacian(M)
+    return _Laplacian(M)
+
+
+def _entry(L) -> _Laplacian:
+    """The memo entry of ``L``, keyed by its shape and exact bytes; the last
+    four matrices are kept."""
+    M = np.asarray(L, dtype=float)
+    return _checked_entry(M.shape, M.tobytes())
+
+
+def _spectrum(entry: _Laplacian) -> np.ndarray:
+    if entry.spectrum is None:
+        w = eigen(entry.matrix)
+        cut = 1e-9 * max(1.0, float(np.abs(w).max()))
+        w = w[np.abs(w) > cut]
+        w.flags.writeable = False
+        entry.spectrum = w
+    return entry.spectrum
 
 
 def nonzero_eigenvalues(L) -> np.ndarray:
     """Laplacian eigenvalues with the structural zero removed, as a read-only array.
 
-    The spectra of the last few matrices are kept, keyed by their exact
-    bytes, so the routes that one Laplacian goes through share one
-    eigendecomposition.
+    The routes that one Laplacian goes through share one eigendecomposition.
     """
-    M = check_laplacian(L)
-    return _nonzero_spectrum(M.shape, M.tobytes())
-
-
-@functools.lru_cache(maxsize=4)
-def _nonzero_spectrum(shape, data: bytes) -> np.ndarray:
-    w = eigen(np.frombuffer(data).reshape(shape))
-    cut = 1e-9 * max(1.0, float(np.abs(w).max()))
-    w = w[np.abs(w) > cut]
-    w.flags.writeable = False
-    return w
+    return _spectrum(_entry(L))
 
 
 def _checked_spectrum(L) -> np.ndarray:
     """Nonzero eigenvalues of a Laplacian whose graph has a rooted spanning tree."""
-    _require_tree(L)
-    return nonzero_eigenvalues(L)
+    entry = _entry(L)
+    if entry.tree is None:
+        entry.tree = has_spanning_tree(entry.matrix)
+    if not entry.tree:
+        raise ValidationError("the interacting graph has no rooted spanning tree")
+    return _spectrum(entry)
+
+
+def _distinct(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """One element of ``a`` for each distinct row of ``keys`` (a row per
+    element), in the lexicographic order of the rows.
+
+    ``np.unique`` would do, but on a plain float or complex array its first
+    call in a process imports ``numpy.ma`` (about 10 ms and 2 MB).
+    """
+    order = np.lexsort(keys.T[::-1])
+    k = keys[order]
+    keep = np.ones(len(k), dtype=bool)
+    keep[1:] = (k[1:] != k[:-1]).any(axis=1)
+    return a[order[keep]]
+
+
+def _scan_spectrum(lams: np.ndarray) -> np.ndarray:
+    """The distinct values of ``Re lam + i|Im lam|``.
+
+    Conjugating ``lam`` only flips signs in ``1 - rho*lam + e*rho*lam^2``, so
+    every magnitude scan over this set gives the same worst magnitude, bit
+    for bit, as over the whole spectrum.
+    """
+    folded = np.where(lams.imag < 0, lams.conj(), lams)
+    return _distinct(folded, np.column_stack([folded.real, folded.imag]))
 
 
 def _checked_number(name: str, value, positive: bool = True) -> float:
@@ -146,7 +197,14 @@ def magnitude_samples(
     grid_step: float = 1e-3,
     rho_max: float | None = None,
 ):
-    """Sampled (rho, worst eigenvalue magnitude) pairs for plotting or scanning."""
+    """Sampled (rho, worst eigenvalue magnitude) pairs for plotting or scanning.
+
+    Returns ``(rhos, mags, lams, eps, eps_is_rho, rho_max)``: the grid
+    ``grid_step, 2*grid_step, ...`` up to ``rho_max`` (one point, ``rho_max``
+    itself, when ``rho_max < grid_step``), the worst magnitude at each point,
+    and the distinct spectrum values that were scanned (see
+    :func:`_scan_spectrum`).
+    """
     grid_step = _checked_number("grid_step", grid_step)
     if rho_max is not None:
         rho_max = _checked_number("rho_max", rho_max)
@@ -158,14 +216,14 @@ def magnitude_samples(
         eps_val, eps_is_rho = 0.0, True
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    lams = nonzero_eigenvalues(L)
+    lams = _scan_spectrum(nonzero_eigenvalues(L))
     if rho_max is None:
         # The fixed-eps iteration is affine in rho through the shifted
         # spectrum, so the cap must come from that spectrum.
         capping = lams - eps_val * lams * lams if mode == MODE_EPS_FIXED else lams
         rho_max = default_rho_max(capping)
     count = max(1, int(np.floor(rho_max / grid_step + 1e-9)))
-    rhos = grid_step * np.arange(1, count + 1)
+    rhos = np.minimum(grid_step * np.arange(1, count + 1), rho_max)
     mags = scan_magnitude(rhos, lams, eps_val, eps_is_rho)
     return rhos, mags, lams, eps_val, eps_is_rho, float(rho_max)
 
@@ -199,40 +257,39 @@ def direct_scan(
     grid_step: float = 1e-3,
     rho_max: float | None = None,
 ):
-    """The direct region together with the ``magnitude_samples`` it came from."""
-    _require_tree(L)
+    """The direct region together with the ``magnitude_samples`` it came from.
+
+    Each run of feasible grid points gives one interval, its ends bisected
+    against the infeasible neighbours.  When the grid stops short of
+    ``rho_max``, ``rho_max`` is probed too, so the tail past the last grid
+    point is neither assumed feasible nor skipped.
+    """
+    _checked_spectrum(L)  # rejects a graph with no rooted spanning tree
     samples = magnitude_samples(L, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max)
     rhos, mags, lams, eps_val, eps_is_rho, rho_max = samples
     if lams.size == 0:
         return FeasibleRegion(((0.0, rho_max),), "direct_scan", rho_max), samples
-    feas = mags < 1.0
+    pts = rhos
+    if rhos[-1] < rho_max:
+        pts = np.append(rhos, rho_max)
+        mags = np.append(mags, scan_magnitude(pts[-1:], lams, eps_val, eps_is_rho))
+    step = np.diff((mags < 1.0).astype(np.int8), prepend=0, append=0)
     intervals = []
-    i = 0
-    n = len(rhos)
-    while i < n:
-        if not feas[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and feas[j + 1]:
-            j += 1
-        # left endpoint
-        if i == 0:
-            probe = rhos[0] * 1e-6
+    for i, j in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1):
+        if i > 0:
+            left = _refine_boundary(pts[i], pts[i - 1], lams, eps_val, eps_is_rho)
+        else:
+            probe = pts[0] * 1e-6
             if scan_magnitude(np.array([probe]), lams, eps_val, eps_is_rho)[0] < 1.0:
                 left = 0.0
             else:
-                left = _refine_boundary(rhos[0], probe, lams, eps_val, eps_is_rho)
+                left = _refine_boundary(pts[0], probe, lams, eps_val, eps_is_rho)
+        if j < len(pts) - 1:
+            right = _refine_boundary(pts[j], pts[j + 1], lams, eps_val, eps_is_rho)
         else:
-            left = _refine_boundary(rhos[i], rhos[i - 1], lams, eps_val, eps_is_rho)
-        # right endpoint
-        if j == n - 1:
             right = rho_max
-        else:
-            right = _refine_boundary(rhos[j], rhos[j + 1], lams, eps_val, eps_is_rho)
         if right > left:
             intervals.append((left, right))
-        i = j + 1
     return FeasibleRegion(tuple(intervals), "direct_scan", rho_max), samples
 
 
@@ -307,61 +364,77 @@ def feasible_rho_bound(L, eps: float) -> FeasibleRegion:
 # ---------------------------------------------------------------------------
 
 
-def cubic_real_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
-    """Ascending real roots of c3*x^3 + c2*x^2 + c1*x + c0.
+def _cube(v: np.ndarray) -> np.ndarray:
+    # x**3 element by element through the C library's pow, which is correctly
+    # rounded; numpy's vectorized power can differ from it in the last bit,
+    # and the Newton-polished roots would carry that difference.
+    return np.array([x**3 for x in v.tolist()])
 
-    Closed-form (trigonometric for three real roots, Cardano otherwise) with
-    a Newton polish; degenerate leading coefficients fall back to the
-    quadratic/linear formulas.
+
+def _cubic_roots(C: np.ndarray) -> np.ndarray:
+    """Ascending real roots of each row's cubic ``C[:, 3] x^3 + ... + C[:, 0]``,
+    padded with NaN to three columns.
+
+    Closed form (trigonometric for three real roots, Cardano otherwise), each
+    branch selected by mask, then three Newton steps; roots within 1e-10
+    (relative) of the previous kept one are dropped.  Degenerate leading
+    coefficients fall back to the quadratic and linear formulas.
     """
-    scale = max(abs(c0), abs(c1), abs(c2), abs(c3), 1.0)
-    if abs(c3) <= 1e-14 * scale:
-        if abs(c2) <= 1e-14 * scale:
-            if abs(c1) <= 1e-14 * scale:
-                return []
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            return []
-        sq = np.sqrt(disc)
-        return sorted([(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)])
-
-    a, b, c = c2 / c3, c1 / c3, c0 / c3
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    disc = -4.0 * p**3 - 27.0 * q * q
-    shift = -a / 3.0
-    if disc > 0:
+    c0, c1, c2, c3 = (C[:, k] for k in range(4))
+    small = np.abs(C) <= 1e-14 * np.abs(C).max(axis=1, initial=1.0)[:, None]
+    nan = np.full(C.shape[0], np.nan)
+    with np.errstate(all="ignore"):
+        a, b, c = c2 / c3, c1 / c3, c0 / c3
+        p = b - a * a / 3.0
+        p3 = _cube(p)
+        q = 2.0 * _cube(a) / 27.0 - a * b / 3.0 + c
+        disc = -4.0 * p3 - 27.0 * q * q
         m = 2.0 * np.sqrt(-p / 3.0)
-        arg = np.clip(3.0 * q / (2.0 * p) * np.sqrt(-3.0 / p), -1.0, 1.0)
-        phi = np.arccos(arg) / 3.0
-        ts = [m * np.cos(phi - 2.0 * np.pi * k / 3.0) for k in range(3)]
-    elif disc < 0:
-        d = np.sqrt(q * q / 4.0 + p**3 / 27.0)
-        ts = [np.cbrt(-q / 2.0 + d) + np.cbrt(-q / 2.0 - d)]
-    else:
-        ts = [0.0] if p == 0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
-
-    roots = []
-    for t in ts:
-        x = t + shift
+        phi = np.arccos(np.clip(3.0 * q / (2.0 * p) * np.sqrt(-3.0 / p), -1.0, 1.0)) / 3.0
+        d = np.sqrt(q * q / 4.0 + p3 / 27.0)
+        t = np.where(
+            (disc > 0)[:, None],
+            m[:, None] * np.cos(phi[:, None] - 2.0 * np.pi * np.arange(3) / 3.0),
+            np.column_stack([
+                np.where(disc < 0, np.cbrt(-q / 2.0 + d) + np.cbrt(-q / 2.0 - d),
+                         np.where(p == 0, 0.0, 3.0 * q / p)),
+                np.where(~(disc < 0) & (p != 0), -3.0 * q / (2.0 * p), nan),
+                nan,
+            ]),
+        )
+        x = t - (a / 3.0)[:, None]
+        k0, k1, k2, k3 = (v[:, None] for v in (c0, c1, c2, c3))
+        d2, d1 = 3.0 * k3, 2.0 * k2
         for _ in range(3):  # Newton polish to ~1e-12 relative
-            f = ((c3 * x + c2) * x + c1) * x + c0
-            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if abs(df) < 1e-300:
-                break
-            x -= f / df
-        roots.append(float(x))
-    roots.sort()
-    out = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-10 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+            f = ((k3 * x + k2) * x + k1) * x + k0
+            df = (d2 * x + d1) * x + k1
+            # A root whose slope vanishes stays put, and so on every later step.
+            x = np.where(np.abs(df) < 1e-300, x, x - f / df)
+        x = np.sort(x, axis=1)
+        tol = 1e-10 * np.maximum(1.0, np.abs(x))
+        keep1 = np.abs(x[:, 1] - x[:, 0]) > tol[:, 1]
+        keep2 = np.abs(x[:, 2] - np.where(keep1, x[:, 1], x[:, 0])) > tol[:, 2]
+        cubic = np.column_stack([x[:, 0], np.where(keep1, x[:, 1], nan), np.where(keep2, x[:, 2], nan)])
+        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        quad = np.column_stack([(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2), nan])
+        line = np.column_stack([-c0 / c1, nan, nan])
+    out = np.where(
+        ~small[:, 3:],
+        cubic,
+        np.where(~small[:, 2:3], quad, np.where(~small[:, 1:2], line, np.nan)),
+    )
+    return np.sort(out, axis=1)
 
 
-def cubic_coefficients(lam: complex, variant: str) -> tuple[float, float, float, float]:
-    """Ascending coefficients of the per-eigenvalue feasibility cubic in rho.
+def cubic_real_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
+    """Ascending real roots of c3*x^3 + c2*x^2 + c1*x + c0 (see :func:`_cubic_roots`)."""
+    r = _cubic_roots(np.array([[c0, c1, c2, c3]], dtype=float))[0]
+    return r[~np.isnan(r)].tolist()
+
+
+def cubic_coefficients(lam, variant: str) -> tuple:
+    """Ascending coefficients of the per-eigenvalue feasibility cubic in rho,
+    elementwise when ``lam`` is an array.
 
     The ``corrected`` variant expands |1 - rho*lam + rho^2*lam^2|^2 - 1 and
     divides by rho > 0; ``paper`` is an alternate coefficient set whose
@@ -380,45 +453,46 @@ def cubic_coefficients(lam: complex, variant: str) -> tuple[float, float, float,
     raise ValidationError(f"unknown cubic variant {variant!r}")
 
 
-def _negative_set(coeffs, hi: float) -> list[tuple[float, float]]:
-    # Open subintervals of (0, hi) where the ascending-coefficient cubic is < 0.
-    pts = [0.0] + [r for r in cubic_real_roots(*coeffs) if 0.0 < r < hi] + [hi]
-    out = []
-    for lo, up in zip(pts, pts[1:]):
-        if up - lo <= 1e-14:
-            continue
-        mid = 0.5 * (lo + up)
-        if npoly.polyval(mid, coeffs) < 0.0:
-            out.append((lo, up))
-    return out
+def _negative_gaps(C: np.ndarray, hi: float) -> tuple[tuple[float, float], ...]:
+    """Open subintervals of (0, hi) on which every cubic (one ascending
+    coefficient row of ``C`` each) is negative.
 
-
-def _intersect(a: list[tuple[float, float]], b: list[tuple[float, float]]):
-    out = []
-    for lo1, hi1 in a:
-        for lo2, hi2 in b:
-            lo, hi = max(lo1, lo2), min(hi1, hi2)
-            if hi > lo:
-                out.append((lo, hi))
-    out.sort()
-    return out
+    Each cubic's roots in (0, hi) cut (0, hi) into segments, and a segment is
+    negative when it is wider than 1e-14 and its cubic is negative at its
+    midpoint.  One sweep over the sorted roots of all the cubics keeps each
+    gap between neighbouring roots that lies in a negative segment of every
+    cubic; each kept gap is one interval, as intersecting the cubics' sets
+    one at a time would give.
+    """
+    roots = _cubic_roots(C)
+    roots = np.sort(np.where((roots > 0.0) & (roots < hi), roots, np.nan), axis=1)
+    cuts = np.column_stack([np.zeros(len(C)), np.where(np.isnan(roots), hi, roots), np.full(len(C), hi)])
+    lo, up = cuts[:, :-1], cuts[:, 1:]
+    mid = 0.5 * (lo + up)
+    k0, k1, k2, k3 = (C[:, k : k + 1] for k in range(4))
+    bad = ~((up - lo > 1e-14) & (((k3 * mid + k2) * mid + k1) * mid + k0 < 0.0))
+    pts = np.concatenate([[0.0, hi], cuts.ravel()])
+    pts = _distinct(pts, pts[:, None])
+    cover = np.bincount(np.searchsorted(pts, lo[bad]), minlength=pts.size)
+    cover -= np.bincount(np.searchsorted(pts, up[bad]), minlength=pts.size)
+    keep = np.cumsum(cover)[:-1] == 0
+    return tuple(zip(pts[:-1][keep].tolist(), pts[1:][keep].tolist()))
 
 
 def feasible_rho_cubic(
     L, variant: str = "corrected", rho_max: float | None = None
 ) -> FeasibleRegion:
-    """Region for the eps = rho iteration via per-eigenvalue cubic root isolation."""
+    """Region for the eps = rho iteration: the step sizes where every
+    eigenvalue's feasibility cubic is negative, each distinct cubic solved once."""
     if rho_max is not None:
         rho_max = _checked_number("rho_max", rho_max)
     lams = _checked_spectrum(L)
     if rho_max is None:
         rho_max = default_rho_max(lams)
-    region = [(0.0, float(rho_max))]
-    for lam in lams:
-        region = _intersect(region, _negative_set(cubic_coefficients(lam, variant), rho_max))
-        if not region:
-            break
-    return FeasibleRegion(tuple(region), f"cubic_{variant}", float(rho_max))
+    # Identical rows (conjugate pairs, repeated eigenvalues) are solved once.
+    rows = np.column_stack(cubic_coefficients(lams, variant))
+    rows = _distinct(rows, rows)
+    return FeasibleRegion(_negative_gaps(rows, float(rho_max)), f"cubic_{variant}", float(rho_max))
 
 
 # ---------------------------------------------------------------------------

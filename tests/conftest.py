@@ -97,10 +97,11 @@ def match_eigenvalue_multisets(a, b, tol: float) -> float:
 
 
 @pytest.fixture(autouse=True)
-def _fresh_spectrum_memo():
-    """Each test starts with no stored Laplacian spectrum, so that what it
-    counts or checks does not depend on which tests ran before it."""
-    stepsize._nonzero_spectrum.cache_clear()
+def _fresh_laplacian_memo():
+    """Each test starts with no stored Laplacian (check, tree verdict or
+    spectrum), so that what it counts or checks does not depend on which
+    tests ran before it."""
+    stepsize._checked_entry.cache_clear()
 
 
 @pytest.fixture(scope="session")

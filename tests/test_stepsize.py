@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opiniondyn import stepsize
+from opiniondyn._kernels import scan_magnitude
 from opiniondyn.errors import ValidationError
 from opiniondyn.netcore import SystemSpec
 from opiniondyn.spectral import CONSENSUS, classify_system, eigen
@@ -32,7 +33,7 @@ from opiniondyn.stepsize import (
     _bilinear_quadratics,
 )
 
-from conftest import random_spanning_tree_laplacian
+from conftest import random_laplacian, random_spanning_tree_laplacian
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 L3_CYCLE = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
@@ -78,6 +79,26 @@ class TestDirectScan:
     def test_requires_spanning_tree(self):
         with pytest.raises(ValidationError):
             feasible_rho_direct(np.zeros((2, 2)))
+
+    def test_rho_max_past_the_last_grid_point_is_probed(self):
+        # lam = 0.9996: feasible exactly for rho < 1.0004, which lies between
+        # the last grid point (1.000) and rho_max.
+        L = np.array([[0.5, -0.5], [-0.5, 0.5]]) / 1.0004
+        assert magnitude_samples(L, rho_max=1.0009)[0].size == 1000
+        direct = feasible_rho_direct(L, rho_max=1.0009)
+        cubic = feasible_rho_cubic(L, rho_max=1.0009)
+        assert abs(cubic.intervals[0][1] - 1.0004) < 1e-12
+        assert len(direct.intervals) == 1 and direct.intervals[0][0] == 0.0
+        assert abs(direct.intervals[0][1] - cubic.intervals[0][1]) <= ENDPOINT_TOL
+
+    def test_no_grid_point_lies_past_rho_max(self):
+        # lam = 3000: |f| = 7 at the default first grid point 1e-3, but the
+        # whole of (0, 1e-4) is feasible.
+        L = 1500.0 * L2
+        rhos = magnitude_samples(L, rho_max=1e-4)[0]
+        assert rhos.tolist() == [1e-4]
+        assert feasible_rho_direct(L, rho_max=1e-4).intervals == ((0.0, 1e-4),)
+        assert feasible_rho_cubic(L, rho_max=1e-4).intervals == ((0.0, 1e-4),)
 
     def test_fixed_eps_mode_is_linear_circle_condition(self):
         region = feasible_rho_direct(L2, mode=MODE_EPS_FIXED, eps=0.1)
@@ -220,6 +241,166 @@ class TestCubic:
                 np.testing.assert_allclose(mine, ref_real, atol=1e-8)
 
 
+def _scalar_cubic_roots(c0, c1, c2, c3) -> list[float]:
+    """Reference for ``cubic_real_roots``: the same closed forms and Newton
+    polish on one cubic at a time, through numpy's scalar calls."""
+    scale = max(abs(c0), abs(c1), abs(c2), abs(c3), 1.0)
+    if abs(c3) <= 1e-14 * scale:
+        if abs(c2) <= 1e-14 * scale:
+            if abs(c1) <= 1e-14 * scale:
+                return []
+            return [-c0 / c1]
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0:
+            return []
+        sq = np.sqrt(disc)
+        return sorted([(-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)])
+    a, b, c = c2 / c3, c1 / c3, c0 / c3
+    p = b - a * a / 3.0
+    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    disc = -4.0 * p**3 - 27.0 * q * q
+    shift = -a / 3.0
+    if disc > 0:
+        m = 2.0 * np.sqrt(-p / 3.0)
+        arg = np.clip(3.0 * q / (2.0 * p) * np.sqrt(-3.0 / p), -1.0, 1.0)
+        phi = np.arccos(arg) / 3.0
+        ts = [m * np.cos(phi - 2.0 * np.pi * k / 3.0) for k in range(3)]
+    elif disc < 0:
+        d = np.sqrt(q * q / 4.0 + p**3 / 27.0)
+        ts = [np.cbrt(-q / 2.0 + d) + np.cbrt(-q / 2.0 - d)]
+    else:
+        ts = [0.0] if p == 0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
+    roots = []
+    for t in ts:
+        x = t + shift
+        for _ in range(3):
+            f = ((c3 * x + c2) * x + c1) * x + c0
+            df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+            if abs(df) < 1e-300:
+                break
+            x -= f / df
+        roots.append(float(x))
+    roots.sort()
+    out = []
+    for r in roots:
+        if not out or abs(r - out[-1]) > 1e-10 * max(1.0, abs(r)):
+            out.append(r)
+    return out
+
+
+def _coefficient_rows(rng, count: int) -> np.ndarray:
+    """Random cubics over six decades, some with vanishing leading terms, plus
+    both feasibility variants of random eigenvalues."""
+    C = rng.uniform(-3, 3, (count, 4)) * rng.choice([1e-6, 1e-3, 1.0, 1e3], (count, 4))
+    C[::7, 3] = 0.0
+    C[::11, 2] = 0.0
+    C[::13, 1] = 0.0
+    lam = rng.uniform(0.01, 30, count) + 1j * rng.uniform(-20, 20, count) * (rng.random(count) < 0.7)
+    rows = [np.column_stack(cubic_coefficients(lam, v)) for v in ("corrected", "paper")]
+    fixed = [[1.0, -3.0, 3.0, -1.0], [0.0, 0.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0], [0.0] * 4]
+    return np.vstack([C, *rows, fixed])
+
+
+def test_batch_roots_are_bitwise_the_scalar_formulas():
+    for row in _coefficient_rows(np.random.default_rng(2), 600):
+        want = _scalar_cubic_roots(*row)
+        assert np.array(cubic_real_roots(*row)).tobytes() == np.array(want).tobytes()
+
+
+def _negative_set(coeffs, hi: float) -> list[tuple[float, float]]:
+    # Open subintervals of (0, hi) where the ascending-coefficient cubic is < 0.
+    pts = [0.0] + [r for r in _scalar_cubic_roots(*coeffs) if 0.0 < r < hi] + [hi]
+    out = []
+    for lo, up in zip(pts, pts[1:]):
+        if up - lo <= 1e-14:
+            continue
+        mid = 0.5 * (lo + up)
+        if np.polynomial.polynomial.polyval(mid, coeffs) < 0.0:
+            out.append((lo, up))
+    return out
+
+
+def _intersect(a, b):
+    out = []
+    for lo1, hi1 in a:
+        for lo2, hi2 in b:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if hi > lo:
+                out.append((lo, hi))
+    out.sort()
+    return out
+
+
+def _cubic_region_loop(L, variant: str, rho_max=None):
+    """Reference cubic route: one eigenvalue at a time through the scalar
+    root formulas, intersecting as it goes."""
+    lams = nonzero_eigenvalues(L)
+    if rho_max is None:
+        rho_max = stepsize.default_rho_max(lams)
+    region = [(0.0, float(rho_max))]
+    for lam in lams:
+        region = _intersect(region, _negative_set(cubic_coefficients(lam, variant), rho_max))
+        if not region:
+            break
+    return tuple(region)
+
+
+def _directed_cycle(n: int) -> np.ndarray:
+    return np.eye(n) - np.roll(np.eye(n), 1, axis=1)
+
+
+def _broadcast(L: np.ndarray, copies: int, w: float) -> np.ndarray:
+    """``copies`` disjoint copies of ``L`` plus one leader that every node
+    hears with weight ``w``: a spanning tree with each eigenvalue of
+    ``L + w I`` repeated ``copies`` times."""
+    n = L.shape[0] * copies
+    out = np.zeros((n + 1, n + 1))
+    out[1:, 1:] = np.kron(np.eye(copies), L) + w * np.eye(n)
+    out[1:, 0] = -w
+    return out
+
+
+@st.composite
+def _laplacians_with_trees(draw, max_n: int = 40):
+    """Random digraphs, weighted directed cycles, Cartesian products (sums of
+    eigenvalues, so repeats and conjugates) and broadcast copies, n <= max_n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "cycle", "product", "broadcast"]))
+    if kind == "random":
+        return random_spanning_tree_laplacian(rng, draw(st.integers(2, max_n)), rng.uniform(0.02, 0.6))
+    if kind == "cycle":
+        return rng.uniform(0.2, 5.0) * _directed_cycle(draw(st.integers(2, max_n)))
+    if kind == "product":
+        a, b = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        La, Lb = _directed_cycle(a), draw(st.sampled_from([_directed_cycle(b), _directed_cycle(a)]))
+        return np.kron(La, np.eye(Lb.shape[0])) + np.kron(np.eye(a), Lb)
+    small = draw(st.sampled_from([L2, L3_CYCLE, _directed_cycle(4)]))
+    copies = draw(st.integers(1, (max_n - 1) // small.shape[0]))
+    return _broadcast(small, copies, rng.uniform(0.1, 3.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(L=_laplacians_with_trees(), variant=st.sampled_from(["corrected", "paper"]),
+       rho_max=st.one_of(st.none(), st.floats(1e-3, 3.0)))
+def test_cubic_sweep_matches_the_per_eigenvalue_loop(L, variant, rho_max):
+    got = feasible_rho_cubic(L, variant=variant, rho_max=rho_max)
+    want = _cubic_region_loop(L, variant, rho_max)
+    assert len(got.intervals) == len(want)
+    for pair_got, pair_want in zip(got.intervals, want):
+        assert np.array(pair_got).tobytes() == np.array(pair_want).tobytes()
+
+
+def test_cubic_rows_are_solved_once(monkeypatch):
+    # A 6-cycle has the conjugate pairs 1 - e^(+-i pi/3), 1 - e^(+-2i pi/3)
+    # and the real 2: three distinct corrected cubics for five eigenvalues.
+    solved = []
+    roots = stepsize._cubic_roots
+    monkeypatch.setattr(stepsize, "_cubic_roots", lambda C: solved.append(len(C)) or roots(C))
+    region = feasible_rho_cubic(_directed_cycle(6))
+    assert solved == [3]
+    assert region.intervals == _cubic_region_loop(_directed_cycle(6), "corrected")
+
+
 class TestStepCertificate:
     def test_real_spectrum_defers_to_inverse_eigenvalue(self):
         inside = hb_step_check(L2, 0.3)
@@ -291,11 +472,16 @@ def test_nonzero_eigenvalues_checks_any_input_type(as_input):
     lambda L: feasible_rho_bound(L, 0.1),
 ])
 def test_each_route_checks_the_laplacian_once(call, monkeypatch):
-    # Counts stepsize's own check; the tree predicate checks its input in netcore.
+    # A new Laplacian is checked once and a stored one zero times, whatever
+    # its input type.  Counts stepsize's own check; the tree predicate checks
+    # its input in netcore.
     calls = []
     check = stepsize.check_laplacian
     monkeypatch.setattr(stepsize, "check_laplacian", lambda L: calls.append(1) or check(L))
     call(L2.tolist())
+    assert len(calls) == 1
+    call(L2.tolist())
+    call(L2)
     assert len(calls) == 1
 
 
@@ -563,9 +749,86 @@ class TestSpectrumMemo:
         lambda L: epsilon_range(L),
         lambda L: feasible_rho_bound(L, 0.1),
     ])
-    def test_a_treeless_graph_is_rejected_on_every_call(self, call):
+    def test_a_treeless_graph_is_rejected_on_every_call(self, call, monkeypatch):
         split = np.kron(np.eye(2), L2)
-        nonzero_eigenvalues(split)  # its spectrum is stored; the tree check still runs
+        nonzero_eigenvalues(split)  # stored with its spectrum, before any tree verdict
+        verdicts = []
+        tree = stepsize.has_spanning_tree
+        monkeypatch.setattr(stepsize, "has_spanning_tree", lambda L: verdicts.append(1) or tree(L))
         for _ in range(2):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match="no rooted spanning tree"):
                 call(split)
+        assert len(verdicts) == 1
+
+    def test_every_route_on_one_laplacian_finds_the_tree_once(self, monkeypatch):
+        L = random_spanning_tree_laplacian(np.random.default_rng(9), 10)
+        verdicts = []
+        tree = stepsize.has_spanning_tree
+        monkeypatch.setattr(stepsize, "has_spanning_tree", lambda L: verdicts.append(1) or tree(L))
+        direct_scan(L)
+        feasible_rho_cubic(L.tolist())
+        hb_step_check(L, 0.1)
+        feasible_rho_bound(L, 0.5 * epsilon_range(L).upper)
+        assert len(verdicts) == 1
+
+    def test_list_and_ndarray_input_share_one_entry(self, monkeypatch):
+        calls = []
+        eigen_ = stepsize.eigen
+        monkeypatch.setattr(stepsize, "eigen", lambda M: calls.append(1) or eigen_(M))
+        a = nonzero_eigenvalues(L3_CYCLE.tolist())
+        b = nonzero_eigenvalues(L3_CYCLE)
+        assert a is b and stepsize._checked_entry.cache_info().currsize == 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("as_input", [np.array, list], ids=["ndarray", "list"])
+    def test_an_invalid_laplacian_raises_alike_on_every_call(self, as_input):
+        bad = as_input([[1.0, -0.5], [-1.0, 1.0]])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as err:
+                feasible_rho_cubic(bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("laplacian rows must sum to 0")
+        assert stepsize._checked_entry.cache_info().currsize == 0
+
+    def test_the_memo_keeps_the_last_few_laplacians(self, monkeypatch):
+        calls = []
+        eigen_ = stepsize.eigen
+        monkeypatch.setattr(stepsize, "eigen", lambda M: calls.append(1) or eigen_(M))
+        size = stepsize._checked_entry.cache_info().maxsize
+        mats = [k * L3_CYCLE for k in range(1, size + 2)]
+        for M in mats:
+            nonzero_eigenvalues(M)
+        assert stepsize._checked_entry.cache_info().currsize == size and len(calls) == len(mats)
+        nonzero_eigenvalues(mats[-1])  # stored
+        nonzero_eigenvalues(mats[0])  # the oldest, dropped
+        assert len(calls) == len(mats) + 1
+
+
+class TestMemoIsolation:
+    """The autouse fixture in conftest.py empties the memo before each test."""
+
+    def test_a_fills_the_memo(self):
+        nonzero_eigenvalues(L2)
+        assert stepsize._checked_entry.cache_info().currsize == 1
+
+    def test_b_starts_with_an_empty_memo(self):
+        assert stepsize._checked_entry.cache_info().currsize == 0
+
+
+def _repeated_and_conjugate_laplacians():
+    rng = np.random.default_rng(13)
+    yield from (random_spanning_tree_laplacian(rng, n) for n in (2, 7, 23, 40))
+    yield from (_directed_cycle(n) for n in (3, 8, 31))
+    yield _broadcast(L3_CYCLE, 5, 0.7)
+    yield np.kron(_directed_cycle(4), np.eye(4)) + np.kron(np.eye(4), _directed_cycle(4))
+    yield random_laplacian(rng, 12, 0.2)  # maybe no tree: the scan does not ask
+
+
+@pytest.mark.parametrize("mode, eps", [("eps_equals_rho", None), (MODE_EPS_FIXED, 0.05)])
+def test_scan_of_the_distinct_spectrum_is_bitwise_the_full_scan(mode, eps):
+    for L in _repeated_and_conjugate_laplacians():
+        rhos, mags, lams, eps_val, eps_is_rho, _ = magnitude_samples(L, mode=mode, eps=eps)
+        full = nonzero_eigenvalues(L)
+        assert mags.tobytes() == scan_magnitude(rhos, full, eps_val, eps_is_rho).tobytes()
+        assert lams.size <= full.size and (lams.imag >= 0).all()
