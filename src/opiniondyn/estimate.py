@@ -37,7 +37,7 @@ import numpy as np
 
 from ._streams import MAX_KEYS, substream_doubles
 from .errors import NumericalError, ValidationError
-from .netcore import SystemSpec, as_matrix, as_vector
+from .netcore import SystemSpec, as_matrix, as_vector, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -179,16 +179,6 @@ def _mean_sq_residual(scen: ScenarioSet, KD: np.ndarray) -> float:
     return float(np.mean(np.sum(E * E, axis=1)))
 
 
-def residual_level(scen: ScenarioSet, lam, L, D) -> float:
-    """Mean squared residual of a candidate appraisal matrix on a scenario set."""
-    n = scen.n_agents
-    K = _coupling(n, lam, L)
-    D = as_matrix(D, "appraisal")
-    if D.shape != (n, n):
-        raise ValidationError(f"appraisal is {D.shape[0]}x{D.shape[1]}, expected {n}x{n}")
-    return _mean_sq_residual(scen, K @ D)
-
-
 def solve_estimation(scen: ScenarioSet, lam, L) -> EstimationResult:
     """Minimize the mean squared one-step residual over vec(D) by least squares.
 
@@ -246,8 +236,7 @@ def grow_sample_estimate(
     growth takes O(log m) draws; that changes nothing since rows are
     prefix-stable.
     """
-    if gamma0 <= 0:
-        raise ValidationError("gamma0 must be positive")
+    gamma0 = check_number("gamma0", gamma0)
     _check_draw(seed, m_cap, box, noise)
     if not isinstance(m0, numbers.Integral) or not 1 <= m0 <= m_cap:
         raise ValidationError("need integers 1 <= m0 <= m_cap")

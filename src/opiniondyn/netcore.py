@@ -46,11 +46,14 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _positive_epsilon(eps) -> float:
-    eps = float(eps)
-    if not np.isfinite(eps) or eps <= 0:
-        raise ValidationError(f"epsilon must be positive, got {eps}")
-    return eps
+def check_number(name: str, value, positive: bool = True) -> float:
+    """``value`` as a float, checked to be finite and, unless ``positive`` is
+    False, above zero."""
+    v = float(value)
+    if not np.isfinite(v) or (positive and v <= 0):
+        need = "positive and finite" if positive else "finite"
+        raise ValidationError(f"{name} must be {need}, got {value}")
+    return v
 
 
 def check_laplacian(L) -> np.ndarray:
@@ -111,13 +114,13 @@ def check_appraisal(D) -> str:
 def stochastic_to_laplacian(P, eps) -> np.ndarray:
     """Return the Laplacian L with I - eps*L = P."""
     M = check_stochastic(P)
-    return check_laplacian((np.eye(M.shape[0]) - M) / _positive_epsilon(eps))
+    return check_laplacian((np.eye(M.shape[0]) - M) / check_number("eps", eps))
 
 
 def laplacian_to_stochastic(L, eps) -> np.ndarray:
     """Invert :func:`stochastic_to_laplacian`; eps must keep I - eps*L nonnegative."""
     M = check_laplacian(L)
-    eps = _positive_epsilon(eps)
+    eps = check_number("eps", eps)
     P = np.eye(M.shape[0]) - eps * M
     if P.min() < -TOL_STRUCT:
         raise ValidationError(
@@ -260,12 +263,6 @@ class SystemSpec:
         """The one-step issue-free update matrix I - Lambda L D."""
         n = self.n_agents
         return np.eye(n) - (self.lam[:, None] * self.laplacian) @ self.appraisal
-
-    def multi_issue_matrix(self) -> np.ndarray:
-        """Materialized Kronecker update matrix (oracle-sized systems only)."""
-        if self.mids is None:
-            raise ValidationError("system has no issue-coupling matrix")
-        return np.kron(self.iteration_matrix(), self.mids)
 
     def validate_structure(self) -> str:
         """Run the full structural checks; returns the appraisal kind."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSpectrumError, NumericalError, ValidationError
-from .netcore import TOL_STRUCT, SystemSpec, appraisal_kind, as_matrix
+from .netcore import TOL_STRUCT, SystemSpec, appraisal_kind, as_matrix, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -131,12 +131,22 @@ def _unit_pair(M: np.ndarray):
     return sigma, iota, resid
 
 
+def _check_tol(tol_eig) -> float:
+    """``tol_eig`` as a float in (0, 1); outside it the tolerance, not the
+    spectrum, decides which eigenvalues count as unit."""
+    tol = check_number("tol_eig", tol_eig)
+    if tol >= 1.0:
+        raise ValidationError(f"tol_eig must be below 1, got {tol_eig}")
+    return tol
+
+
 def classify_system(sys: SystemSpec, tol_eig: float = TOL_EIG) -> SpectralReport:
     """Classify the issue-free system: consensus, convergence, stability, or neither.
 
     Raises :class:`AmbiguousSpectrumError` when several distinct eigenvalues
     crowd the unit point too closely to call the multiplicity.
     """
+    tol_eig = _check_tol(tol_eig)
     M = sys.iteration_matrix()
     w = eigen(M)
     unit = np.abs(w - 1.0) <= tol_eig
@@ -185,6 +195,7 @@ def predict_limit(
     report: SpectralReport | None = None,
 ) -> LimitPrediction:
     """Steady-state opinion vector from the unit-eigenvalue projector."""
+    tol_eig = _check_tol(tol_eig)
     xi0 = np.asarray(xi0, dtype=float).reshape(-1)
     if xi0.shape[0] != sys.n_agents:
         raise ValidationError(
@@ -253,7 +264,7 @@ def powers_converge(C, tol_eig: float = TOL_EIG) -> bool:
     a semisimple eigenvalue 1.
     """
     C = as_matrix(C, "issue coupling")
-    return _powers_converge(C, eigen(C), tol_eig)
+    return _powers_converge(C, eigen(C), _check_tol(tol_eig))
 
 
 def _powers_converge(C: np.ndarray, w: np.ndarray, tol_eig: float) -> bool:

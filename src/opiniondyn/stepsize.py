@@ -11,12 +11,14 @@ certificate for one step size.  The certificate writes each factor
 ``z^2 - 2 Re(f) z + |f|^2`` and checks its bilinear image for Hurwitz
 stability (Jury 1964); the general bilinear-transform and Hermite-Biehler
 chain below handles polynomials of any degree and serves as its oracle.
-The routes share a memo of the last few Laplacians, keyed by their exact
-bytes: each one is checked once, its tree verdict is found once and its
-spectrum computed once, and a graph with no rooted spanning tree is rejected
-on every call.  The magnitude scans run over the distinct ``(Re lam,
-|Im lam|)`` values, since a conjugate pair gives the same magnitude bit for
-bit, and the cubic route solves every distinct cubic in one array pass.
+Every route, ``magnitude_samples`` and ``nonzero_eigenvalues`` included,
+reads the spectrum through one memo of the last few Laplacians, keyed by
+their exact bytes: on a miss the matrix is checked and its tree verdict found
+once, and its spectrum computed once when it has a rooted spanning tree; a
+graph without one is rejected on every call.  The magnitude scans run over
+the distinct ``(Re lam, |Im lam|)`` values, since a conjugate pair gives the
+same magnitude bit for bit, and the cubic route solves every distinct cubic
+in one array pass.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._kernels import scan_magnitude
 from .errors import NumericalError, ValidationError
-from .netcore import check_laplacian, has_spanning_tree
+from .netcore import check_number, has_spanning_tree
 from .spectral import eigen
 
 logger = logging.getLogger(__name__)
@@ -63,9 +65,6 @@ class FeasibleRegion:
     def contains(self, rho: float, margin: float = 0.0) -> bool:
         return any(a + margin < rho < b - margin for a, b in self.intervals)
 
-    def right_endpoint(self) -> float | None:
-        return self.intervals[-1][1] if self.intervals else None
-
     def to_json_dict(self) -> dict:
         return {
             "method": self.method,
@@ -94,60 +93,34 @@ class StepSizeDiagnostics:
     direct_verdict: bool
 
 
-class _Laplacian:
-    """One checked Laplacian: the matrix, and its tree verdict and nonzero
-    spectrum once something has asked for them."""
-
-    __slots__ = ("matrix", "tree", "spectrum")
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.tree: bool | None = None
-        self.spectrum: np.ndarray | None = None
-
-
 @functools.lru_cache(maxsize=4)
-def _checked_entry(shape: tuple, data: bytes) -> _Laplacian:
-    """The memo entry of one Laplacian, made once it passes the check; a call
+def _checked_entry(shape: tuple, data: bytes) -> np.ndarray | None:
+    """The memo entry of one Laplacian, keyed by its shape and exact bytes:
+    its read-only nonzero spectrum, or None when its graph has no rooted
+    spanning tree.  The tree predicate checks the matrix first, and a call
     that raises is not stored, so a bad input raises on every call."""
     M = np.frombuffer(data).reshape(shape)
-    check_laplacian(M)
-    return _Laplacian(M)
-
-
-def _entry(L) -> _Laplacian:
-    """The memo entry of ``L``, keyed by its shape and exact bytes; the last
-    four matrices are kept."""
-    M = np.asarray(L, dtype=float)
-    return _checked_entry(M.shape, M.tobytes())
-
-
-def _spectrum(entry: _Laplacian) -> np.ndarray:
-    if entry.spectrum is None:
-        w = eigen(entry.matrix)
-        cut = 1e-9 * max(1.0, float(np.abs(w).max()))
-        w = w[np.abs(w) > cut]
-        w.flags.writeable = False
-        entry.spectrum = w
-    return entry.spectrum
+    if not has_spanning_tree(M):
+        return None
+    w = eigen(M)
+    w = w[np.abs(w) > 1e-9 * max(1.0, float(np.abs(w).max()))]
+    w.flags.writeable = False
+    return w
 
 
 def nonzero_eigenvalues(L) -> np.ndarray:
-    """Laplacian eigenvalues with the structural zero removed, as a read-only array.
+    """Eigenvalues of a Laplacian whose graph has a rooted spanning tree, with
+    the structural zero removed, as a read-only array.
 
-    The routes that one Laplacian goes through share one eigendecomposition.
+    Every route reads the spectrum here, so the routes that one Laplacian goes
+    through share one check, one tree verdict and one eigendecomposition; the
+    last four matrices are kept.
     """
-    return _spectrum(_entry(L))
-
-
-def _checked_spectrum(L) -> np.ndarray:
-    """Nonzero eigenvalues of a Laplacian whose graph has a rooted spanning tree."""
-    entry = _entry(L)
-    if entry.tree is None:
-        entry.tree = has_spanning_tree(entry.matrix)
-    if not entry.tree:
+    M = np.asarray(L, dtype=float)
+    lams = _checked_entry(M.shape, M.tobytes())
+    if lams is None:
         raise ValidationError("the interacting graph has no rooted spanning tree")
-    return _spectrum(entry)
+    return lams
 
 
 def _distinct(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -175,14 +148,6 @@ def _scan_spectrum(lams: np.ndarray) -> np.ndarray:
     return _distinct(folded, np.column_stack([folded.real, folded.imag]))
 
 
-def _checked_number(name: str, value, positive: bool = True) -> float:
-    v = float(value)
-    if not np.isfinite(v) or (positive and v <= 0):
-        need = "positive and finite" if positive else "finite"
-        raise ValidationError(f"{name} must be {need}, got {value}")
-    return v
-
-
 def default_rho_max(lams: np.ndarray) -> float:
     pos = lams.real[lams.real > 0]
     if pos.size == 0:
@@ -205,13 +170,13 @@ def magnitude_samples(
     and the distinct spectrum values that were scanned (see
     :func:`_scan_spectrum`).
     """
-    grid_step = _checked_number("grid_step", grid_step)
+    grid_step = check_number("grid_step", grid_step)
     if rho_max is not None:
-        rho_max = _checked_number("rho_max", rho_max)
+        rho_max = check_number("rho_max", rho_max)
     if mode == MODE_EPS_FIXED:
         if eps is None:
             raise ValidationError("eps_fixed mode needs an eps value")
-        eps_val, eps_is_rho = _checked_number("eps", eps, positive=False), False
+        eps_val, eps_is_rho = check_number("eps", eps, positive=False), False
     elif mode == MODE_EPS_EQUALS_RHO:
         eps_val, eps_is_rho = 0.0, True
     else:
@@ -264,7 +229,6 @@ def direct_scan(
     ``rho_max``, ``rho_max`` is probed too, so the tail past the last grid
     point is neither assumed feasible nor skipped.
     """
-    _checked_spectrum(L)  # rejects a graph with no rooted spanning tree
     samples = magnitude_samples(L, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max)
     rhos, mags, lams, eps_val, eps_is_rho, rho_max = samples
     if lams.size == 0:
@@ -332,7 +296,7 @@ def epsilon_bounds(lams) -> EpsilonRange:
 
 def epsilon_range(L) -> EpsilonRange:
     """Admissible auxiliary step sizes for a spanning-tree Laplacian."""
-    return epsilon_bounds(_checked_spectrum(L))
+    return epsilon_bounds(nonzero_eigenvalues(L))
 
 
 def feasible_rho_bound(L, eps: float) -> FeasibleRegion:
@@ -342,7 +306,7 @@ def feasible_rho_bound(L, eps: float) -> FeasibleRegion:
     interval (0, min over eigenvalues of 2*Re / |.|^2) of the shifted
     spectrum lam - eps*lam^2.
     """
-    lams = _checked_spectrum(L)
+    lams = nonzero_eigenvalues(L)
     rng = epsilon_bounds(lams)
     if not rng.contains(eps):
         raise ValidationError(
@@ -426,12 +390,6 @@ def _cubic_roots(C: np.ndarray) -> np.ndarray:
     return np.sort(out, axis=1)
 
 
-def cubic_real_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
-    """Ascending real roots of c3*x^3 + c2*x^2 + c1*x + c0 (see :func:`_cubic_roots`)."""
-    r = _cubic_roots(np.array([[c0, c1, c2, c3]], dtype=float))[0]
-    return r[~np.isnan(r)].tolist()
-
-
 def cubic_coefficients(lam, variant: str) -> tuple:
     """Ascending coefficients of the per-eigenvalue feasibility cubic in rho,
     elementwise when ``lam`` is an array.
@@ -485,8 +443,8 @@ def feasible_rho_cubic(
     """Region for the eps = rho iteration: the step sizes where every
     eigenvalue's feasibility cubic is negative, each distinct cubic solved once."""
     if rho_max is not None:
-        rho_max = _checked_number("rho_max", rho_max)
-    lams = _checked_spectrum(L)
+        rho_max = check_number("rho_max", rho_max)
+    lams = nonzero_eigenvalues(L)
     if rho_max is None:
         rho_max = default_rho_max(lams)
     # Identical rows (conjugate pairs, repeated eigenvalues) are solved once.
@@ -522,8 +480,8 @@ def hb_step_check(L, rho: float) -> StepSizeDiagnostics:
     ``f = 1 - rho*lam + rho^2*lam^2`` lies strictly inside the unit disk.
     The direct verdict, max |f| < 1, is reported alongside.
     """
-    rho = _checked_number("rho", rho)
-    lams = _checked_spectrum(L)
+    rho = check_number("rho", rho)
+    lams = nonzero_eigenvalues(L)
     f = 1.0 - rho * lams + rho * rho * lams * lams
     q = _bilinear_quadratics(f)
     hb_ok = bool(((q > 0.0).all(axis=1) | (q < 0.0).all(axis=1)).all())

@@ -82,6 +82,19 @@ def random_consensus_system(
     raise AssertionError("could not draw a consensus system; generator parameters off")
 
 
+def cubic_real_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
+    """Ascending real roots of c3*x^3 + c2*x^2 + c1*x + c0, through the step-size
+    module's batch cubic solver."""
+    r = stepsize._cubic_roots(np.array([[c0, c1, c2, c3]], dtype=float))[0]
+    return r[~np.isnan(r)].tolist()
+
+
+def multi_issue_matrix(spec: SystemSpec) -> np.ndarray:
+    """Materialized Kronecker update matrix of an issue-coupled system, the
+    oracle for the block update and the coupled verdicts (small systems only)."""
+    return np.kron(spec.iteration_matrix(), spec.mids)
+
+
 def match_eigenvalue_multisets(a, b, tol: float) -> float:
     """Greedy nearest-neighbor pairing; returns the worst pairing distance."""
     a = list(np.asarray(a, dtype=complex))

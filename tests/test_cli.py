@@ -199,6 +199,13 @@ class TestAnalyze:
         }))
         assert main(["analyze", "--system", str(bad)]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "1"])
+    def test_tol_eig_outside_the_unit_interval_exit_code(self, system_files, capsys, tol):
+        # Outside (0, 1) the tolerance would decide the verdict on its own.
+        for name in ("example1", "coop"):
+            assert main(["analyze", "--system", str(system_files[name]), "--tol-eig", tol]) == 2
+            assert capsys.readouterr().err.startswith("error: tol_eig must be")
+
     @pytest.mark.parametrize("field, value, message", [
         ("laplacian", [[1.0, -0.5], [-1.0, 1.0]],
          "laplacian rows must sum to 0, worst residual 5.000e-01"),
@@ -412,6 +419,7 @@ class TestEstimateAndBounds:
         ["--box", "inf"],
         ["--seed", "-1", "--gamma0", "1e-12"],
         ["--box", "nan", "--gamma0", "1e-12"],
+        ["--gamma0", "nan"],
     ])
     def test_estimate_bad_draw_exit_code(self, tmp_path, capsys, flags):
         truth_path = tmp_path / "truth.json"

@@ -353,12 +353,12 @@ STRUCTURAL_ERRORS = [
     ),
     pytest.param(
         lambda: stochastic_to_laplacian(np.eye(2), 0.0),
-        "epsilon must be positive, got 0.0",
+        "eps must be positive and finite, got 0.0",
         id="epsilon-zero",
     ),
     pytest.param(
         lambda: laplacian_to_stochastic(np.zeros((2, 2)), -1.0),
-        "epsilon must be positive, got -1.0",
+        "eps must be positive and finite, got -1.0",
         id="epsilon-negative",
     ),
     pytest.param(

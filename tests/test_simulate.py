@@ -16,7 +16,7 @@ from opiniondyn.simulate import (
 )
 from opiniondyn.spectral import classify_system, predict_limit
 
-from conftest import random_consensus_system, random_stochastic
+from conftest import multi_issue_matrix, random_consensus_system, random_stochastic
 
 
 def naive_matvec(M, x):
@@ -152,7 +152,7 @@ class TestMultiIssue:
 
     def test_final_value_matches_kronecker_eigenanalysis(self, sec5_coop):
         spec = sec5_coop.with_mids()
-        K = spec.multi_issue_matrix()
+        K = multi_issue_matrix(spec)
         w, V = np.linalg.eig(K)
         unit = int(np.argmin(np.abs(w - 1.0)))
         right = V[:, unit].real
@@ -178,7 +178,7 @@ class TestMultiIssue:
             spec = random_consensus_system(rng, n)
             spec = SystemSpec(spec.lam, spec.laplacian, spec.appraisal,
                               mids=rng.uniform(-0.5, 0.5, (p, p)))
-            K = spec.multi_issue_matrix()
+            K = multi_issue_matrix(spec)
             x0 = rng.uniform(-3, 3, n * p)
             traj = run_multi_issue(spec, x0, max_steps=30, tol_conv=0.0)
             x = x0.copy()

@@ -26,14 +26,29 @@ from opiniondyn.spectral import (
     powers_converge,
     predict_limit,
 )
-from opiniondyn.stepsize import cubic_real_roots
 
 from conftest import (
+    cubic_real_roots,
     match_eigenvalue_multisets,
+    multi_issue_matrix,
     random_consensus_system,
     random_spanning_tree_laplacian,
     random_stochastic,
 )
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, 1.0, 2.0])
+def test_a_tol_eig_outside_the_unit_interval_is_rejected(sec5_coop, tol):
+    spec = sec5_coop.with_mids()
+    calls = [
+        lambda: classify_system(spec, tol_eig=tol),
+        lambda: predict_limit(spec, np.zeros(spec.n_agents), tol_eig=tol),
+        lambda: classify_multi_issue(spec, tol_eig=tol),
+        lambda: powers_converge(spec.mids, tol_eig=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^tol_eig must be"):
+            call()
 
 
 def char_poly_roots_3x3(M: np.ndarray) -> list[float]:
@@ -378,7 +393,7 @@ class TestMultiIssue:
         )
         assert classify_multi_issue(spec) == DIVERGENT
         # power-iteration oracle on the materialized matrix confirms growth
-        K = spec.multi_issue_matrix()
+        K = multi_issue_matrix(spec)
         v = np.ones(K.shape[0]) / np.sqrt(K.shape[0])
         growth = []
         for _ in range(60):
@@ -438,7 +453,7 @@ def test_multi_issue_verdict_certifies_that_the_powers_converge(data, seed, n, k
     C = _coupling(data.draw, kind, k, rng)
     spec = SystemSpec(base.lam, base.laplacian, base.appraisal, mids=C)
     verdict = classify_multi_issue(spec)
-    assert (verdict in ("convergent", "stable")) == powers_converge(spec.multi_issue_matrix())
+    assert (verdict in ("convergent", "stable")) == powers_converge(multi_issue_matrix(spec))
 
 
 class TestPowersConverge:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opiniondyn import stepsize
+from opiniondyn import netcore, stepsize
 from opiniondyn._kernels import scan_magnitude
 from opiniondyn.errors import ValidationError
 from opiniondyn.netcore import SystemSpec
@@ -18,7 +18,6 @@ from opiniondyn.stepsize import (
     PolynomialPair,
     bilinear_transform,
     cubic_coefficients,
-    cubic_real_roots,
     direct_scan,
     epsilon_bounds,
     epsilon_range,
@@ -33,7 +32,7 @@ from opiniondyn.stepsize import (
     _bilinear_quadratics,
 )
 
-from conftest import random_laplacian, random_spanning_tree_laplacian
+from conftest import cubic_real_roots, random_spanning_tree_laplacian
 
 L2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
 L3_CYCLE = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
@@ -451,6 +450,8 @@ class TestStepCertificate:
     lambda: feasible_rho_cubic(np.zeros((2, 2))),
     lambda: epsilon_range(np.zeros((2, 2))),
     lambda: feasible_rho_bound(np.zeros((2, 2)), 0.1),
+    lambda: magnitude_samples(np.zeros((2, 2))),
+    lambda: nonzero_eigenvalues(np.zeros((2, 2))),
 ])
 def test_step_size_routes_reject_bad_input(call):
     with pytest.raises(ValidationError):
@@ -473,16 +474,18 @@ def test_nonzero_eigenvalues_checks_any_input_type(as_input):
 ])
 def test_each_route_checks_the_laplacian_once(call, monkeypatch):
     # A new Laplacian is checked once and a stored one zero times, whatever
-    # its input type.  Counts stepsize's own check; the tree predicate checks
-    # its input in netcore.
-    calls = []
-    check = stepsize.check_laplacian
-    monkeypatch.setattr(stepsize, "check_laplacian", lambda L: calls.append(1) or check(L))
+    # its input type: the tree predicate makes the one check on a memo miss.
+    # Every call makes one memo lookup.
+    calls, lookups = [], []
+    check = netcore.check_laplacian
+    monkeypatch.setattr(netcore, "check_laplacian", lambda L: calls.append(1) or check(L))
+    entry = stepsize._checked_entry
+    monkeypatch.setattr(stepsize, "_checked_entry", lambda *key: lookups.append(1) or entry(*key))
     call(L2.tolist())
     assert len(calls) == 1
     call(L2.tolist())
     call(L2)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(lookups) == 3
 
 
 def _factors(rho, lams):
@@ -552,7 +555,7 @@ def test_certificate_sweep_on_chain_backbone_digraphs():
     checked = disagree = feasible = 0
     for g in range(120):
         L = chain_backbone_laplacian(rng, 3 + g % 9)
-        right = feasible_rho_direct(L).right_endpoint()
+        right = feasible_rho_direct(L).intervals[-1][1]
         for rho in right * rng.uniform(1e-3, 1.3, 10):
             diag = hb_step_check(L, rho)
             if np.abs(diag.magnitudes - 1.0).min() <= 1e-9:
@@ -700,7 +703,7 @@ class TestFeasibleRegionType:
         assert not r.contains(0.3) and not r.contains(0.25)
         doc = r.to_json_dict()
         assert doc["intervals"] == [[0.0, 0.25], [0.5, 0.75]]
-        assert r.right_endpoint() == 0.75
+        assert r.intervals[-1][1] == 0.75
 
     def test_pair_type_holds_split_parts(self):
         pair = PolynomialPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -748,10 +751,11 @@ class TestSpectrumMemo:
         lambda L: hb_step_check(L, 0.1),
         lambda L: epsilon_range(L),
         lambda L: feasible_rho_bound(L, 0.1),
+        lambda L: magnitude_samples(L),
+        lambda L: nonzero_eigenvalues(L),
     ])
     def test_a_treeless_graph_is_rejected_on_every_call(self, call, monkeypatch):
         split = np.kron(np.eye(2), L2)
-        nonzero_eigenvalues(split)  # stored with its spectrum, before any tree verdict
         verdicts = []
         tree = stepsize.has_spanning_tree
         monkeypatch.setattr(stepsize, "has_spanning_tree", lambda L: verdicts.append(1) or tree(L))
@@ -762,14 +766,16 @@ class TestSpectrumMemo:
 
     def test_every_route_on_one_laplacian_finds_the_tree_once(self, monkeypatch):
         L = random_spanning_tree_laplacian(np.random.default_rng(9), 10)
-        verdicts = []
+        verdicts, checks = [], []
         tree = stepsize.has_spanning_tree
         monkeypatch.setattr(stepsize, "has_spanning_tree", lambda L: verdicts.append(1) or tree(L))
+        check = netcore.check_laplacian
+        monkeypatch.setattr(netcore, "check_laplacian", lambda L: checks.append(1) or check(L))
         direct_scan(L)
         feasible_rho_cubic(L.tolist())
         hb_step_check(L, 0.1)
         feasible_rho_bound(L, 0.5 * epsilon_range(L).upper)
-        assert len(verdicts) == 1
+        assert len(verdicts) == 1 and len(checks) == 1
 
     def test_list_and_ndarray_input_share_one_entry(self, monkeypatch):
         calls = []
@@ -822,7 +828,6 @@ def _repeated_and_conjugate_laplacians():
     yield from (_directed_cycle(n) for n in (3, 8, 31))
     yield _broadcast(L3_CYCLE, 5, 0.7)
     yield np.kron(_directed_cycle(4), np.eye(4)) + np.kron(np.eye(4), _directed_cycle(4))
-    yield random_laplacian(rng, 12, 0.2)  # maybe no tree: the scan does not ask
 
 
 @pytest.mark.parametrize("mode, eps", [("eps_equals_rho", None), (MODE_EPS_FIXED, 0.05)])
