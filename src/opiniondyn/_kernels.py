@@ -1,11 +1,11 @@
-"""The iteration kernel behind every trajectory, and the step-size magnitude scan.
+"""The iteration kernel behind every trajectory.
 
 ``iterate`` drives any linear update ``x(k+1) = step(x(k))`` (the issue-free
 ``M x`` and the issue-coupled ``(M X) C'``) under one stop rule: divergence,
 a step change below ``tol_conv`` for ``window`` consecutive steps, or
 ``max_steps``.  It computes states in growing blocks and checks the rule on
 each block at once, which gives the same rows as checking after every step.
-Both functions are plain numpy.
+It is plain numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ DIVERGED = "diverged"
 
 FIRST_BLOCK = 16
 MAX_BLOCK = 256
-SCAN_CELLS = 2**15
 
 
 def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
@@ -76,30 +75,3 @@ def iterate(step, x0, max_steps, tol_conv, window, guard, stride):
             size = min(2 * size, MAX_BLOCK)
     return np.concatenate(rows), np.concatenate(ks), status
 
-
-def scan_magnitude(rhos, lams, eps, eps_is_rho):
-    """Worst ``|1 - rho*lam + eps*rho*lam^2|`` over ``lams`` for each ``rho``;
-    ``eps_is_rho`` makes ``eps`` track ``rho``.
-
-    The rhos are taken in blocks of about ``SCAN_CELLS`` (rho, lam) cells,
-    so the complex temporaries stay near 1 MB whatever the grid and the
-    spectrum; each rho's maximum is the same as over one full block.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    lam = np.asarray(lams, dtype=complex)[None, :]
-    out = np.zeros(rhos.shape[0])
-    if lam.shape[1] == 0:
-        return out
-    rows = max(1, SCAN_CELLS // lam.shape[1])
-    for start in range(0, rhos.shape[0], rows):
-        r = rhos[start : start + rows, None]
-        e = r if eps_is_rho else eps
-        # In place, so that at most two (rhos x lams) temporaries are alive.
-        z = r * lam
-        np.subtract(1.0, z, out=z)
-        quad = e * r * lam
-        quad *= lam
-        z += quad
-        del quad
-        out[start : start + rows] = np.abs(z).max(axis=1)
-    return out

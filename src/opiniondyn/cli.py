@@ -30,8 +30,7 @@ logger = logging.getLogger(__name__)
 STABILITY_EPS = 1e-6
 RESIDUAL_PIN = 1e-16
 DEFAULT_SEED = 20240
-# The CLI spelling of each step-size mode and bound formula.
-MODES = {"fixed-eps": stepsize.MODE_EPS_FIXED, "rho-squared": stepsize.MODE_EPS_EQUALS_RHO}
+# The CLI spelling of each bound formula.
 FORMULAS = {"campi": est.CAMPI_GARATTI, "paper": est.PAPER_LITERAL}
 REPRODUCE_NAMES = ("fig2a", "fig2b", "fig5", "fig6", "fig7a", "fig7b", "example-estimation")
 
@@ -126,11 +125,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stepsize(args) -> int:
-    mode = MODES[args.mode]
-    if mode == stepsize.MODE_EPS_FIXED and args.eps is None:
-        raise ValidationError("--mode fixed-eps requires --eps")
-    if mode != stepsize.MODE_EPS_FIXED and args.eps is not None:
-        raise ValidationError("--eps applies to --mode fixed-eps")
+    # --eps selects the fixed-eps iteration; without it eps tracks rho.
+    if args.method == "corollary1" and args.eps is None:
+        raise ValidationError("--method corollary1 requires --eps")
+    if args.method not in ("direct", "corollary1") and args.eps is not None:
+        raise ValidationError("--eps applies to --method direct or corollary1")
+    if args.method == "hb" and args.rho is None:
+        raise ValidationError("--method hb requires --rho")
     if args.method != "hb" and args.rho is not None:
         raise ValidationError("--rho applies to --method hb")
     if args.out_dir is not None and args.out_json and args.out_csv:
@@ -143,25 +144,16 @@ def _cmd_stepsize(args) -> int:
     samples = None
     if args.method == "direct":
         region, samples = stepsize.direct_scan(
-            L, mode=mode, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
+            L, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
         )
         doc = region.to_json_dict()
     elif args.method == "corollary1":
-        if mode != stepsize.MODE_EPS_FIXED:
-            raise ValidationError("--method corollary1 applies to --mode fixed-eps")
-        region = stepsize.feasible_rho_bound(L, args.eps)
-        doc = region.to_json_dict()
+        doc = stepsize.feasible_rho_bound(L, args.eps).to_json_dict()
     elif args.method in ("cubic", "cubic-paper"):
-        if mode != stepsize.MODE_EPS_EQUALS_RHO:
-            raise ValidationError("cubic methods apply to --mode rho-squared")
         variant = "corrected" if args.method == "cubic" else "paper"
         region = stepsize.feasible_rho_cubic(L, variant=variant, rho_max=args.rho_max)
         doc = region.to_json_dict()
     elif args.method == "hb":
-        if mode != stepsize.MODE_EPS_EQUALS_RHO:
-            raise ValidationError("--method hb applies to --mode rho-squared")
-        if args.rho is None:
-            raise ValidationError("--method hb requires --rho")
         diag = stepsize.hb_step_check(L, args.rho)
         doc = {
             "method": "theorem_hb",
@@ -175,7 +167,7 @@ def _cmd_stepsize(args) -> int:
 
     if samples is None:
         samples = stepsize.magnitude_samples(
-            L, mode=mode, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
+            L, eps=args.eps, grid_step=args.grid, rho_max=args.rho_max
         )
     rhos, mags, *_ = samples
     save_matrix_csv(out_csv, np.column_stack([rhos, mags]), header="rho,max_magnitude")
@@ -208,6 +200,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_samplebound(args) -> int:
+    if args.agents is not None and args.agents < 1:
+        raise ValidationError("--agents must be at least 1")
     d = args.dim if args.dim is not None else args.agents * args.agents
     formula = FORMULAS[args.formula]
     query = est.SampleBoundQuery(d=d, epsilon=args.eps, beta=args.beta, formula=formula)
@@ -387,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stepsize", help="feasible step-size regions")
     p.add_argument("--laplacian", required=True)
-    p.add_argument("--mode", choices=list(MODES), default="rho-squared")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None, help="fixed auxiliary step (default: rho)")
     p.add_argument(
         "--method",
         choices=["direct", "corollary1", "cubic", "cubic-paper", "hb"],

@@ -96,6 +96,8 @@ class SampleBoundQuery:
     formula: str = CAMPI_GARATTI
 
     def __post_init__(self):
+        if not isinstance(self.d, numbers.Integral):
+            raise ValidationError(f"decision dimension d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ValidationError("decision dimension d must be >= 1")
         if not 0.0 < self.epsilon < 1.0:

@@ -1,8 +1,7 @@
 """Discrete-time trajectory engines with convergence detection.
 
-Covers the issue-free update, the issue-coupled Kronecker update (run
-blockwise, never materializing the large matrix), and the disagreement
-diagnostics used to confirm the spectral decay rate.
+Covers the issue-free update and the issue-coupled Kronecker update (run
+blockwise, never materializing the large matrix).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import CONVERGED, DIVERGED, MAX_STEPS  # the stop reasons
 from .errors import ValidationError
-from .netcore import SystemSpec
+from .netcore import SystemSpec, check_number
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_TOL_CONV = 1e-10
@@ -50,11 +49,16 @@ def _package(xis, ks, stop_reason) -> Trajectory:
     )
 
 
-def _check_counts(max_steps: int, stride: int) -> None:
+def _check_counts(max_steps: int, stride: int, tol_conv: float, window: int) -> None:
     if max_steps < 1:
         raise ValidationError("max_steps must be at least 1")
     if stride < 1:
         raise ValidationError("stride must be at least 1")
+    if window < 1:
+        raise ValidationError("window must be at least 1")
+    # 0 is allowed: it switches the convergence stop off.
+    if check_number("tol_conv", tol_conv, positive=False) < 0:
+        raise ValidationError(f"tol_conv must be non-negative, got {tol_conv}")
 
 
 def run(
@@ -74,7 +78,7 @@ def run(
         raise ValidationError(
             f"initial opinions have length {xi0.shape[0]}, expected {sys.n_agents}"
         )
-    _check_counts(max_steps, stride)
+    _check_counts(max_steps, stride, tol_conv, window)
     M = sys.iteration_matrix()
     xis, ks, stop_reason = _kernels.iterate(
         lambda x: M @ x, xi0, int(max_steps), tol_conv, window, OVERFLOW_GUARD, stride
@@ -104,7 +108,7 @@ def run_multi_issue(
             f"initial opinions have length {xi0.shape[0]}, expected {n * m} "
             f"({n} agents x {m} issues)"
         )
-    _check_counts(max_steps, stride)
+    _check_counts(max_steps, stride, tol_conv, window)
     M = sys.iteration_matrix()
     Ct = np.ascontiguousarray(sys.mids.T)
     states, ks, stop_reason = _kernels.iterate(
@@ -113,19 +117,3 @@ def run_multi_issue(
     )
     return _package(states.reshape(states.shape[0], n * m), ks, stop_reason)
 
-
-def disagreement_series(traj: Trajectory, report) -> np.ndarray:
-    """Per-step sup-norm of the state component off the limit direction.
-
-    Uses the unit-eigenvalue projector I - iota*sigma' from a spectral
-    report; for convergent systems this decays geometrically at rho_rest.
-    """
-    if report.left_vec is None or report.right_vec is None:
-        raise ValidationError("spectral report carries no unit-eigenvalue eigenvectors")
-    sigma = np.asarray(report.left_vec, dtype=float)
-    iota = np.asarray(report.right_vec, dtype=float)
-    xis = traj.xi_series
-    if xis.shape[1] != sigma.shape[0]:
-        raise ValidationError("trajectory dimension does not match the report")
-    theta = xis - np.outer(xis @ sigma, iota)
-    return np.abs(theta).max(axis=1)

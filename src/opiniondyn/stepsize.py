@@ -1,11 +1,12 @@
 """Feasible step-size regions for the self-weighted consensus iteration.
 
-For the update ``x(k+1) = (I - rho*L + e*rho*L^2) x(k)`` (with ``e`` either a
-fixed constant or equal to ``rho``), consensus holds exactly when
-``|1 - rho*lam + e*rho*lam^2| < 1`` for every nonzero Laplacian eigenvalue
-``lam``.  This module offers four routes to that region: a dense magnitude
-scan (the ground-truth oracle), a closed-form eigenvalue bound for fixed
-``e``, cubic-inequality root isolation for ``e = rho``, and an exact
+For the update ``x(k+1) = (I - rho*L + e*rho*L^2) x(k)``, consensus holds
+exactly when ``|1 - rho*lam + e*rho*lam^2| < 1`` for every nonzero Laplacian
+eigenvalue ``lam``.  The auxiliary step ``e`` is either a fixed constant or
+``rho`` itself; the scan routes take it as ``eps``, and ``eps=None`` means
+``e = rho``.  This module offers four routes to that region: a dense
+magnitude scan (the ground-truth oracle), a closed-form eigenvalue bound for
+fixed ``e``, cubic-inequality root isolation for ``e = rho``, and an exact
 certificate for one step size.  The certificate writes each factor
 ``f = 1 - rho*lam + rho^2*lam^2`` as a root of the real quadratic
 ``z^2 - 2 Re(f) z + |f|^2`` and checks its bilinear image for Hurwitz
@@ -17,8 +18,8 @@ their exact bytes: on a miss the matrix is checked and its tree verdict found
 once, and its spectrum computed once when it has a rooted spanning tree; a
 graph without one is rejected on every call.  The magnitude scans run over
 the distinct ``(Re lam, |Im lam|)`` values, since a conjugate pair gives the
-same magnitude bit for bit, and the cubic route solves every distinct cubic
-in one array pass.
+same magnitude bit for bit, in blocks of about ``SCAN_CELLS`` cells; the
+cubic route solves every distinct cubic in one array pass.
 """
 
 from __future__ import annotations
@@ -30,18 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._kernels import scan_magnitude
 from .errors import NumericalError, ValidationError
 from .netcore import check_number, has_spanning_tree
 from .spectral import eigen
 
 logger = logging.getLogger(__name__)
 
-MODE_EPS_FIXED = "eps_fixed"
-MODE_EPS_EQUALS_RHO = "eps_equals_rho"
-
 ENDPOINT_TOL = 1e-9
 RHO_MAX_CAP = 100.0
+SCAN_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -155,49 +153,70 @@ def default_rho_max(lams: np.ndarray) -> float:
     return float(min(2.0 / pos.min(), RHO_MAX_CAP))
 
 
+def scan_magnitude(rhos, lams, eps):
+    """Worst ``|1 - rho*lam + e*rho*lam^2|`` over ``lams`` for each ``rho``,
+    where ``e`` is ``eps``, or ``rho`` itself when ``eps`` is None.
+
+    The rhos are taken in blocks of about ``SCAN_CELLS`` (rho, lam) cells,
+    so the complex temporaries stay near 1 MB whatever the grid and the
+    spectrum; each rho's maximum is the same as over one full block.
+    """
+    rhos = np.asarray(rhos, dtype=float)
+    lam = np.asarray(lams, dtype=complex)[None, :]
+    out = np.zeros(rhos.shape[0])
+    if lam.shape[1] == 0:
+        return out
+    rows = max(1, SCAN_CELLS // lam.shape[1])
+    for start in range(0, rhos.shape[0], rows):
+        r = rhos[start : start + rows, None]
+        e = r if eps is None else eps
+        # In place, so that at most two (rhos x lams) temporaries are alive.
+        z = r * lam
+        np.subtract(1.0, z, out=z)
+        quad = e * r * lam
+        quad *= lam
+        z += quad
+        del quad
+        out[start : start + rows] = np.abs(z).max(axis=1)
+    return out
+
+
 def magnitude_samples(
     L,
-    mode: str = MODE_EPS_EQUALS_RHO,
     eps: float | None = None,
     grid_step: float = 1e-3,
     rho_max: float | None = None,
 ):
-    """Sampled (rho, worst eigenvalue magnitude) pairs for plotting or scanning.
+    """Sampled (rho, worst eigenvalue magnitude) pairs for plotting or scanning,
+    for the fixed-``eps`` iteration, or for ``e = rho`` when ``eps`` is None.
 
-    Returns ``(rhos, mags, lams, eps, eps_is_rho, rho_max)``: the grid
+    Returns ``(rhos, mags, lams, eps, rho_max)``: the grid
     ``grid_step, 2*grid_step, ...`` up to ``rho_max`` (one point, ``rho_max``
     itself, when ``rho_max < grid_step``), the worst magnitude at each point,
-    and the distinct spectrum values that were scanned (see
-    :func:`_scan_spectrum`).
+    the distinct spectrum values that were scanned (see
+    :func:`_scan_spectrum`), and the checked ``eps``.
     """
     grid_step = check_number("grid_step", grid_step)
     if rho_max is not None:
         rho_max = check_number("rho_max", rho_max)
-    if mode == MODE_EPS_FIXED:
-        if eps is None:
-            raise ValidationError("eps_fixed mode needs an eps value")
-        eps_val, eps_is_rho = check_number("eps", eps, positive=False), False
-    elif mode == MODE_EPS_EQUALS_RHO:
-        eps_val, eps_is_rho = 0.0, True
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
+    if eps is not None:
+        eps = check_number("eps", eps, positive=False)
     lams = _scan_spectrum(nonzero_eigenvalues(L))
     if rho_max is None:
         # The fixed-eps iteration is affine in rho through the shifted
         # spectrum, so the cap must come from that spectrum.
-        capping = lams - eps_val * lams * lams if mode == MODE_EPS_FIXED else lams
-        rho_max = default_rho_max(capping)
+        rho_max = default_rho_max(lams if eps is None else lams - eps * lams * lams)
     count = max(1, int(np.floor(rho_max / grid_step + 1e-9)))
     rhos = np.minimum(grid_step * np.arange(1, count + 1), rho_max)
-    mags = scan_magnitude(rhos, lams, eps_val, eps_is_rho)
-    return rhos, mags, lams, eps_val, eps_is_rho, float(rho_max)
+    mags = scan_magnitude(rhos, lams, eps)
+    return rhos, mags, lams, eps, float(rho_max)
 
 
-def _refine_boundary(feasible_pt, infeasible_pt, lams, eps, eps_is_rho) -> float:
+def _refine_boundary(feasible_pt, infeasible_pt, lams, eps) -> float:
     lo, hi = feasible_pt, infeasible_pt
     while abs(hi - lo) > ENDPOINT_TOL:
         mid = 0.5 * (lo + hi)
-        if scan_magnitude(np.array([mid]), lams, eps, eps_is_rho)[0] < 1.0:
+        if scan_magnitude(np.array([mid]), lams, eps)[0] < 1.0:
             lo = mid
         else:
             hi = mid
@@ -206,18 +225,16 @@ def _refine_boundary(feasible_pt, infeasible_pt, lams, eps, eps_is_rho) -> float
 
 def feasible_rho_direct(
     L,
-    mode: str = MODE_EPS_EQUALS_RHO,
     eps: float | None = None,
     grid_step: float = 1e-3,
     rho_max: float | None = None,
 ) -> FeasibleRegion:
     """Ground-truth region from a dense magnitude scan with bisected endpoints."""
-    return direct_scan(L, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max)[0]
+    return direct_scan(L, eps=eps, grid_step=grid_step, rho_max=rho_max)[0]
 
 
 def direct_scan(
     L,
-    mode: str = MODE_EPS_EQUALS_RHO,
     eps: float | None = None,
     grid_step: float = 1e-3,
     rho_max: float | None = None,
@@ -229,27 +246,27 @@ def direct_scan(
     ``rho_max``, ``rho_max`` is probed too, so the tail past the last grid
     point is neither assumed feasible nor skipped.
     """
-    samples = magnitude_samples(L, mode=mode, eps=eps, grid_step=grid_step, rho_max=rho_max)
-    rhos, mags, lams, eps_val, eps_is_rho, rho_max = samples
+    samples = magnitude_samples(L, eps=eps, grid_step=grid_step, rho_max=rho_max)
+    rhos, mags, lams, eps, rho_max = samples
     if lams.size == 0:
         return FeasibleRegion(((0.0, rho_max),), "direct_scan", rho_max), samples
     pts = rhos
     if rhos[-1] < rho_max:
         pts = np.append(rhos, rho_max)
-        mags = np.append(mags, scan_magnitude(pts[-1:], lams, eps_val, eps_is_rho))
+        mags = np.append(mags, scan_magnitude(pts[-1:], lams, eps))
     step = np.diff((mags < 1.0).astype(np.int8), prepend=0, append=0)
     intervals = []
     for i, j in zip(np.flatnonzero(step == 1), np.flatnonzero(step == -1) - 1):
         if i > 0:
-            left = _refine_boundary(pts[i], pts[i - 1], lams, eps_val, eps_is_rho)
+            left = _refine_boundary(pts[i], pts[i - 1], lams, eps)
         else:
             probe = pts[0] * 1e-6
-            if scan_magnitude(np.array([probe]), lams, eps_val, eps_is_rho)[0] < 1.0:
+            if scan_magnitude(np.array([probe]), lams, eps)[0] < 1.0:
                 left = 0.0
             else:
-                left = _refine_boundary(pts[0], probe, lams, eps_val, eps_is_rho)
+                left = _refine_boundary(pts[0], probe, lams, eps)
         if j < len(pts) - 1:
-            right = _refine_boundary(pts[j], pts[j + 1], lams, eps_val, eps_is_rho)
+            right = _refine_boundary(pts[j], pts[j + 1], lams, eps)
         else:
             right = rho_max
         if right > left:
@@ -271,10 +288,6 @@ class EpsilonRange:
 
     def contains(self, eps: float) -> bool:
         return self.lower < eps < self.upper
-
-    @property
-    def positive(self) -> tuple[float, float]:
-        return (0.0, self.upper)
 
 
 def epsilon_bounds(lams) -> EpsilonRange:

@@ -60,7 +60,7 @@ def system_files(tmp_path):
 OPTIONS = {
     "analyze": {"--system", "--tol-eig", "--x0", "--out"},
     "simulate": {"--system", "--x0", "--steps", "--tol", "--window", "--out"},
-    "stepsize": {"--laplacian", "--mode", "--eps", "--method", "--grid", "--rho-max", "--rho",
+    "stepsize": {"--laplacian", "--eps", "--method", "--grid", "--rho-max", "--rho",
                  "--out-dir", "--out-json", "--out-csv"},
     "estimate": {"--system", "--samples", "--gamma0", "--cap", "--box", "--seed", "--out"},
     "samplebound": {"--agents", "--dim", "--eps", "--beta", "--formula"},
@@ -100,7 +100,7 @@ class TestParser:
             for name, p in sub.choices.items()
         }
         assert found == OPTIONS
-        assert sum(map(len, found.values())) == 35
+        assert sum(map(len, found.values())) == 34
 
     @pytest.mark.parametrize("argv", [
         ["samplebound", "--agents", "2", "--eps", "0.1", "--beta", "0.01", "--seed", "1"],
@@ -247,6 +247,20 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--window", "0"], ["--window", "-2"],
+    ])
+    def test_bad_stop_rule_exit_code(self, system_files, tmp_path, capsys, flags):
+        for system, x0 in ((system_files["example1"], "25,75,85"),
+                           (system_files["coop"], "25,25,25,15,75,-50,85,5")):
+            out = tmp_path / "x.csv"
+            code = main(["simulate", "--system", str(system), "--x0", x0, "--out", str(out)]
+                        + flags)
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error:" in captured.err
+            assert not out.exists()
+
 
 class TestStepsize:
     def test_direct_json_and_scan(self, system_files, tmp_path):
@@ -303,8 +317,8 @@ class TestStepsize:
             ["--method", "cubic"],
             ["--method", "cubic-paper"],
             ["--method", "hb", "--rho", "0.2"],
-            ["--method", "corollary1", "--mode", "fixed-eps", "--eps", "0.1"],
-            ["--method", "direct", "--mode", "fixed-eps", "--eps", "0.1"],
+            ["--method", "corollary1", "--eps", "0.1"],
+            ["--method", "direct", "--eps", "0.1"],
         ):
             code = main(
                 ["stepsize", "--laplacian", str(system_files["lap"]),
@@ -314,7 +328,7 @@ class TestStepsize:
 
     def test_flag_validation(self, system_files, tmp_path, capsys):
         base = ["stepsize", "--laplacian", str(system_files["lap"]), "--out-dir", str(tmp_path)]
-        assert main(base + ["--mode", "fixed-eps", "--method", "direct"]) == 2
+        assert main(base + ["--method", "cubic", "--eps", "0.1"]) == 2
         assert main(base + ["--method", "hb"]) == 2
         assert main(base + ["--method", "corollary1"]) == 2
 
@@ -326,6 +340,24 @@ class TestStepsize:
                      "--out-csv", str(tmp_path / "s.csv")])
         assert code == 2
         assert "--out-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--method", "corollary1"], "--eps"),
+        (["--method", "cubic", "--eps", "0.1"], "--eps"),
+        (["--method", "cubic-paper", "--eps", "0.1"], "--eps"),
+        (["--method", "hb", "--eps", "0.1", "--rho", "0.2"], "--eps"),
+        (["--method", "hb"], "--rho"),
+        (["--method", "cubic", "--rho", "0.2"], "--rho"),
+    ])
+    def test_flag_rules_are_checked_before_the_laplacian_is_read(
+        self, tmp_path, capsys, flags, named
+    ):
+        out_dir = tmp_path / "never"
+        code = main(["stepsize", "--laplacian", str(tmp_path / "absent.csv"),
+                     "--out-dir", str(out_dir)] + flags)
+        assert code == 2
+        assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_hb_json_keys(self, system_files, tmp_path, capsys):
@@ -352,8 +384,8 @@ class TestStepsize:
         ["--rho-max", "0"],
         ["--rho-max", "nan"],
         ["--method", "cubic", "--rho-max", "inf"],
-        ["--mode", "fixed-eps", "--eps", "nan", "--method", "direct"],
-        ["--eps", "0.1"],
+        ["--eps", "nan", "--method", "direct"],
+        ["--method", "cubic-paper", "--eps", "0.1"],
         ["--method", "cubic", "--rho", "0.2"],
     ])
     def test_bad_number_exit_code(self, system_files, tmp_path, capsys, flags):
@@ -437,6 +469,12 @@ class TestEstimateAndBounds:
         assert main(["samplebound", "--agents", "2", "--eps", "0.1", "--beta", "0.01",
                      "--formula", "paper"]) == 0
         assert "m=48" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", [["--agents", "-3"], ["--agents", "0"], ["--dim", "0"]])
+    def test_samplebound_rejects_a_size_below_one(self, size, capsys):
+        assert main(["samplebound", *size, "--eps", "0.1", "--beta", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
     @pytest.mark.parametrize("size", [[], ["--agents", "99", "--dim", "1"]])
     def test_samplebound_takes_exactly_one_of_agents_and_dim(self, size, capsys):

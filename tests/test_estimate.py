@@ -421,6 +421,12 @@ class TestSampleBound:
         assert m == 44
         assert m == int(np.ceil(np.log(0.01) / np.log(0.9)))
 
+    def test_dimension_must_be_a_positive_integer(self):
+        for d in (2.5, 4.0, 0, -3):
+            with pytest.raises(ValidationError):
+                SampleBoundQuery(d=d, epsilon=0.1, beta=0.01)
+        assert sample_bound(SampleBoundQuery(d=np.int64(4), epsilon=0.1, beta=0.01)) == 97
+
     def test_trivial_confidence(self):
         assert sample_bound(SampleBoundQuery(d=1, epsilon=0.1, beta=0.9999)) == 1
 

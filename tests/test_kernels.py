@@ -1,4 +1,4 @@
-"""The iteration kernel and the magnitude scan against independent references.
+"""The iteration kernel and the step-size magnitude scan against independent references.
 
 ``_check_run`` replays the documented stop rule on a run, ``_iterate_loop``
 is the step-by-step kernel the block-checked one must match bit for bit, and
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opiniondyn import _kernels as k
+from opiniondyn.stepsize import SCAN_CELLS, scan_magnitude
 
 # Scripted steps count steps in units of TINY, far below any tolerance.
 TINY = 2.0**-900
@@ -101,11 +102,11 @@ def _iterate_all(step, x0, *args):
     return xs, st
 
 
-def _scan_magnitude_loop(rhos, lams, eps, eps_is_rho):
+def _scan_magnitude_loop(rhos, lams, eps):
     out = np.empty(rhos.shape[0])
     for i in range(rhos.shape[0]):
         r = rhos[i]
-        e = r if eps_is_rho else eps
+        e = r if eps is None else eps
         worst = 0.0
         for j in range(lams.shape[0]):
             lam = lams[j]
@@ -164,17 +165,17 @@ def test_scan_parity():
     rng = np.random.default_rng(2)
     rhos = np.linspace(1e-3, 2.0, 500)
     lams = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    for eps, eps_is_rho in ((0.0, True), (0.3, False)):
-        a = k.scan_magnitude(rhos, lams, eps, eps_is_rho)
-        ref = _scan_magnitude_loop(rhos, lams, eps, eps_is_rho)
+    for eps in (None, 0.3):
+        a = scan_magnitude(rhos, lams, eps)
+        ref = _scan_magnitude_loop(rhos, lams, eps)
         np.testing.assert_allclose(a, ref, atol=1e-13)
 
 
-def _scan_magnitude_whole(rhos, lams, eps, eps_is_rho):
+def _scan_magnitude_whole(rhos, lams, eps):
     # The same expression as the kernel's, over all rhos in one block.
     r = np.asarray(rhos, dtype=float)[:, None]
     lam = np.asarray(lams, dtype=complex)[None, :]
-    e = r if eps_is_rho else eps
+    e = r if eps is None else eps
     z = r * lam
     np.subtract(1.0, z, out=z)
     quad = e * r * lam
@@ -185,24 +186,24 @@ def _scan_magnitude_whole(rhos, lams, eps, eps_is_rho):
 
 @pytest.mark.parametrize("n_lams,n_rhos", [
     (1, 10),
-    (7, 3 * (k.SCAN_CELLS // 7) + 1),
+    (7, 3 * (SCAN_CELLS // 7) + 1),
     (300, 2000),
-    (300, k.SCAN_CELLS // 300),
-    (300, k.SCAN_CELLS // 300 + 1),
-    (k.SCAN_CELLS + 5, 3),
+    (300, SCAN_CELLS // 300),
+    (300, SCAN_CELLS // 300 + 1),
+    (SCAN_CELLS + 5, 3),
 ])
 def test_scan_blocks_match_one_block_bitwise(n_lams, n_rhos):
     rng = np.random.default_rng(n_lams + n_rhos)
     lams = rng.uniform(0.0, 3.0, n_lams) + 1j * rng.uniform(-2.0, 2.0, n_lams)
     rhos = np.linspace(1e-3, 2.0, n_rhos)
-    for eps, eps_is_rho in ((0.0, True), (0.3, False)):
-        a = k.scan_magnitude(rhos, lams, eps, eps_is_rho)
-        np.testing.assert_array_equal(a, _scan_magnitude_whole(rhos, lams, eps, eps_is_rho))
+    for eps in (None, 0.3):
+        a = scan_magnitude(rhos, lams, eps)
+        np.testing.assert_array_equal(a, _scan_magnitude_whole(rhos, lams, eps))
 
 
 def test_scan_empty_spectrum():
     rhos = np.array([0.5, 1.0])
-    out = k.scan_magnitude(rhos, np.empty(0, dtype=complex), 0.0, True)
+    out = scan_magnitude(rhos, np.empty(0, dtype=complex), None)
     np.testing.assert_array_equal(out, [0.0, 0.0])
 
 

@@ -10,13 +10,29 @@ from opiniondyn.simulate import (
     CONVERGED,
     DIVERGED,
     MAX_STEPS,
-    disagreement_series,
     run,
     run_multi_issue,
 )
 from opiniondyn.spectral import classify_system, predict_limit
 
 from conftest import multi_issue_matrix, random_consensus_system, random_stochastic
+
+
+def disagreement_series(traj, report) -> np.ndarray:
+    """Per-step sup-norm of the state component off the limit direction.
+
+    Uses the unit-eigenvalue projector I - iota*sigma' from a spectral
+    report; for convergent systems this decays geometrically at rho_rest.
+    """
+    if report.left_vec is None or report.right_vec is None:
+        raise ValidationError("spectral report carries no unit-eigenvalue eigenvectors")
+    sigma = np.asarray(report.left_vec, dtype=float)
+    iota = np.asarray(report.right_vec, dtype=float)
+    xis = traj.xi_series
+    if xis.shape[1] != sigma.shape[0]:
+        raise ValidationError("trajectory dimension does not match the report")
+    theta = xis - np.outer(xis @ sigma, iota)
+    return np.abs(theta).max(axis=1)
 
 
 def naive_matvec(M, x):
@@ -123,6 +139,20 @@ class TestRun:
             run(example1.system, [1.0, 2.0])
         with pytest.raises(ValidationError):
             run(example1.system, example1.x0, stride=0)
+
+    @pytest.mark.parametrize("kw", [
+        {"tol_conv": np.nan}, {"tol_conv": -1.0}, {"tol_conv": np.inf},
+        {"window": 0}, {"window": -2},
+    ])
+    def test_stop_rule_inputs_are_checked(self, example1, sec5_coop, kw):
+        with pytest.raises(ValidationError):
+            run(example1.system, example1.x0, **kw)
+        with pytest.raises(ValidationError):
+            run_multi_issue(sec5_coop.with_mids(), fx.X0_MULTI, **kw)
+
+    def test_zero_tol_switches_the_convergence_stop_off(self, example1):
+        traj = run(example1.system, example1.x0, max_steps=300, tol_conv=0.0, window=1)
+        assert traj.stop_reason == MAX_STEPS and int(traj.ks[-1]) == 300
 
 
 class TestMultiIssue:

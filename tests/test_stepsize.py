@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opiniondyn import netcore, stepsize
-from opiniondyn._kernels import scan_magnitude
 from opiniondyn.errors import ValidationError
 from opiniondyn.netcore import SystemSpec
 from opiniondyn.spectral import CONSENSUS, classify_system, eigen
 from opiniondyn.stepsize import (
     ENDPOINT_TOL,
-    MODE_EPS_FIXED,
     FeasibleRegion,
     PolynomialPair,
     bilinear_transform,
@@ -29,6 +27,7 @@ from opiniondyn.stepsize import (
     imaginary_axis_parts,
     magnitude_samples,
     nonzero_eigenvalues,
+    scan_magnitude,
     _bilinear_quadratics,
 )
 
@@ -100,9 +99,18 @@ class TestDirectScan:
         assert feasible_rho_cubic(L, rho_max=1e-4).intervals == ((0.0, 1e-4),)
 
     def test_fixed_eps_mode_is_linear_circle_condition(self):
-        region = feasible_rho_direct(L2, mode=MODE_EPS_FIXED, eps=0.1)
+        region = feasible_rho_direct(L2, eps=0.1)
         # lam* = 2 - 0.4 = 1.6 so the circle condition caps rho at 2/1.6
         assert abs(region.intervals[0][1] - 1.25) < 1e-6
+
+    def test_a_given_eps_is_fixed_and_none_tracks_rho(self):
+        # lam = 2: |1 - 2 rho + 4 e rho|, with e = rho when eps is None.
+        rhos, tracked, _, eps, _ = magnitude_samples(L2, rho_max=0.5)
+        assert eps is None
+        np.testing.assert_allclose(tracked, np.abs(1 - 2 * rhos + 4 * rhos**2), atol=1e-15)
+        rhos, fixed, _, eps, _ = magnitude_samples(L2, eps=0.3, rho_max=0.5)
+        assert eps == 0.3
+        np.testing.assert_allclose(fixed, np.abs(1 - 0.8 * rhos), atol=1e-15)
 
 
 class TestClosedFormBound:
@@ -122,7 +130,7 @@ class TestClosedFormBound:
     def test_contained_in_direct_scan(self):
         for eps in (0.05, 0.2):
             bound = feasible_rho_bound(L3_CYCLE, eps).intervals[0][1]
-            direct = feasible_rho_direct(L3_CYCLE, mode=MODE_EPS_FIXED, eps=eps)
+            direct = feasible_rho_direct(L3_CYCLE, eps=eps)
             assert abs(direct.intervals[0][1] - bound) < 1e-6
 
     def test_rejects_inadmissible_eps(self):
@@ -136,7 +144,6 @@ class TestEpsilonRange:
         r = epsilon_range(L2)
         assert r.lower == -np.inf
         assert abs(r.upper - 0.5) < 1e-12  # 1/lam for lam = 2
-        assert r.positive == (0.0, r.upper)
 
     def test_diagonal_phase_eigenvalues_are_unconstrained(self):
         r = epsilon_bounds([1.0 + 1.0j, 1.0 - 1.0j])
@@ -439,11 +446,11 @@ class TestStepCertificate:
     lambda: magnitude_samples(L2, grid_step=0.0),
     lambda: magnitude_samples(L2, rho_max=np.nan),
     lambda: magnitude_samples(L2, rho_max=-1.0),
-    lambda: magnitude_samples(L2, mode=MODE_EPS_FIXED, eps=np.nan),
+    lambda: magnitude_samples(L2, eps=np.nan),
     lambda: feasible_rho_direct(L2, rho_max=0.0),
     lambda: feasible_rho_direct(L2, rho_max=np.inf),
     lambda: feasible_rho_direct(L2, grid_step=-1e-3),
-    lambda: feasible_rho_direct(L2, mode=MODE_EPS_FIXED, eps=np.inf),
+    lambda: feasible_rho_direct(L2, eps=np.inf),
     lambda: feasible_rho_cubic(L2, rho_max=np.nan),
     lambda: feasible_rho_cubic(L2, rho_max=-1.0),
     lambda: hb_step_check(np.zeros((2, 2)), 0.1),
@@ -830,10 +837,10 @@ def _repeated_and_conjugate_laplacians():
     yield np.kron(_directed_cycle(4), np.eye(4)) + np.kron(np.eye(4), _directed_cycle(4))
 
 
-@pytest.mark.parametrize("mode, eps", [("eps_equals_rho", None), (MODE_EPS_FIXED, 0.05)])
-def test_scan_of_the_distinct_spectrum_is_bitwise_the_full_scan(mode, eps):
+@pytest.mark.parametrize("eps", [None, 0.05])
+def test_scan_of_the_distinct_spectrum_is_bitwise_the_full_scan(eps):
     for L in _repeated_and_conjugate_laplacians():
-        rhos, mags, lams, eps_val, eps_is_rho, _ = magnitude_samples(L, mode=mode, eps=eps)
+        rhos, mags, lams, eps_val, _ = magnitude_samples(L, eps=eps)
         full = nonzero_eigenvalues(L)
-        assert mags.tobytes() == scan_magnitude(rhos, full, eps_val, eps_is_rho).tobytes()
+        assert mags.tobytes() == scan_magnitude(rhos, full, eps_val).tobytes()
         assert lams.size <= full.size and (lams.imag >= 0).all()
