@@ -7,8 +7,9 @@ per key costs tens of microseconds; here the three stages run as array
 arithmetic over the keys instead:
 
 1. ``SeedSequence`` hashing: every entropy word but the last depends on the
-   seed alone, so it is mixed once with Python ints; only the spawn-key word
-   ``t`` and ``generate_state(4, uint64)`` run as uint32 arrays.
+   seed alone, so numpy's own ``SeedSequence(seed)`` mixes them once; only
+   the spawn-key word ``t`` and ``generate_state(4, uint64)`` run as uint32
+   arrays.
 2. ``PCG64``: the 128-bit state that gives output j is, after ``srandom``,
    the closed form ``MULT^(j+2)·s + (1 + MULT + … + MULT^(j+2))·inc``
    (mod 2^128) of the seed words ``s`` and ``inc``, evaluated on pairs of
@@ -59,37 +60,14 @@ def _seed_pool(seed: int) -> tuple[list[int], list[int], list[int]]:
     """The pool before the spawn-key word, and the hash constants that word meets.
 
     ``SeedSequence(seed, spawn_key=(t,))`` pads the seed's uint32 words to
-    the pool size, appends ``t`` and mixes the words into the pool in order;
-    every hash advances one shared constant, whatever the value hashed.
+    the pool size, appends ``t`` and mixes the words into the pool in order,
+    so the pool before ``t`` is ``SeedSequence(seed).pool``.  Every hash
+    advances one shared constant, whatever the value hashed: the seed's words
+    take ``_POOL`` hashes each, and ``t`` meets the next ``_POOL``.
     """
-    words = []
-    while True:
-        words.append(seed & _M32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL - len(words))
-    pairs = iter(zip(*_hash_constants(_INIT_A, _MULT_A, _POOL * (len(words) + 1))))
-
-    def hashmix(value: int) -> int:
-        x, m = next(pairs)
-        value = (value ^ x) * m & _M32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    xors, mults = zip(*pairs)
-    return pool, list(xors), list(mults)
+    words = max(_POOL, -(-seed.bit_length() // 32))
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * (words + 1))
+    return np.random.SeedSequence(seed).pool.tolist(), xors[-_POOL:], mults[-_POOL:]
 
 
 @lru_cache(maxsize=64)

@@ -23,7 +23,9 @@ from . import fixtures as fx
 from . import simulate as sim
 from . import spectral, stepsize
 from .errors import NumericalError, OpinionDynError, ValidationError
-from .netcore import SystemSpec, load_matrix_csv, parse_vector_arg, save_matrix_csv, write_csv
+from .netcore import (
+    SystemSpec, check_count, load_matrix_csv, parse_vector_arg, save_matrix_csv, write_csv,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -92,11 +94,10 @@ def _cmd_analyze(args) -> int:
             logger.info(
                 "no limit prediction for a %s system; omitting phi", report.classification
             )
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_json(Path(args.out), doc)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     print(f"classification: {report.classification}", file=sys.stderr)
     return 0
 
@@ -200,9 +201,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_samplebound(args) -> int:
-    if args.agents is not None and args.agents < 1:
-        raise ValidationError("--agents must be at least 1")
-    d = args.dim if args.dim is not None else args.agents * args.agents
+    d = args.dim if args.dim is not None else check_count("--agents", args.agents) ** 2
     formula = FORMULAS[args.formula]
     query = est.SampleBoundQuery(d=d, epsilon=args.eps, beta=args.beta, formula=formula)
     m = est.sample_bound(query)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from ._streams import MAX_KEYS, substream_doubles
 from .errors import NumericalError, ValidationError
-from .netcore import SystemSpec, as_matrix, as_vector, check_number
+from .netcore import SystemSpec, as_matrix, as_vector, check_count, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -96,10 +95,7 @@ class SampleBoundQuery:
     formula: str = CAMPI_GARATTI
 
     def __post_init__(self):
-        if not isinstance(self.d, numbers.Integral):
-            raise ValidationError(f"decision dimension d must be an integer, got {self.d!r}")
-        if self.d < 1:
-            raise ValidationError("decision dimension d must be >= 1")
+        check_count("decision dimension d", self.d)
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError("epsilon must lie in (0, 1)")
         if not 0.0 < self.beta < 1.0:
@@ -110,13 +106,8 @@ class SampleBoundQuery:
 
 def _check_draw(seed, m, box, noise=0.0) -> None:
     """Reject draw inputs the scenario stream contract does not cover."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(m, numbers.Integral):
-        raise ValidationError(f"scenario count must be an integer, got {m!r}")
-    if m < 1:
-        raise ValidationError("need at least one scenario")
-    if m > MAX_KEYS:
+    check_count("seed", seed, low=0)
+    if check_count("scenario count", m) > MAX_KEYS:
         raise ValidationError(f"at most {MAX_KEYS} scenarios (one substream each)")
     if not 0 < box <= _MAX_HALF_WIDTH:
         raise ValidationError(f"box must be positive and finite, got {box!r}")
@@ -240,8 +231,8 @@ def grow_sample_estimate(
     """
     gamma0 = check_number("gamma0", gamma0)
     _check_draw(seed, m_cap, box, noise)
-    if not isinstance(m0, numbers.Integral) or not 1 <= m0 <= m_cap:
-        raise ValidationError("need integers 1 <= m0 <= m_cap")
+    if check_count("m0", m0) > m_cap:
+        raise ValidationError(f"need m0 <= m_cap, got m0={m0} and m_cap={m_cap}")
     M = truth.iteration_matrix()
     prev = nxt = np.empty((0, M.shape[0]))
     m = m0
@@ -322,8 +313,7 @@ def empirical_violation(
 ) -> float:
     """Fraction of fresh same-size scenario batches whose residual exceeds
     ``result.gamma_star`` by more than ``VIOLATION_TOL``."""
-    if not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValidationError("need at least one trial")
+    trials = check_count("trials", trials)
     _check_draw(seed, result.m_used, box)
     KD = _coupling(len(result.d_hat), truth.lam, truth.laplacian) @ result.d_hat
     level = result.gamma_star + VIOLATION_TOL

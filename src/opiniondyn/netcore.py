@@ -12,6 +12,7 @@ forms, and the graph-topology predicates the analysis layers rely on.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,13 +38,25 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
+def as_vector(values, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """Coerce to a finite, nonempty, flat float64 array, of length ``size``
+    when it is given."""
     v = np.array(values, dtype=float).reshape(-1)
+    if size is not None and v.size != size:
+        raise ValidationError(f"{name} have length {v.size}, expected {size}")
     if v.size == 0:
         raise ValidationError(f"{name} is empty")
     if not np.isfinite(v).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return v
+
+
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int, checked to be an integer (not a bool) of at least
+    ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def check_number(name: str, value, positive: bool = True) -> float:

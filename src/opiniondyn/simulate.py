@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import CONVERGED, DIVERGED, MAX_STEPS  # the stop reasons
 from .errors import ValidationError
-from .netcore import SystemSpec, check_number
+from .netcore import SystemSpec, as_vector, check_count, check_number
 
 DEFAULT_MAX_STEPS = 10_000
 DEFAULT_TOL_CONV = 1e-10
@@ -49,16 +49,16 @@ def _package(xis, ks, stop_reason) -> Trajectory:
     )
 
 
-def _check_counts(max_steps: int, stride: int, tol_conv: float, window: int) -> None:
-    if max_steps < 1:
-        raise ValidationError("max_steps must be at least 1")
-    if stride < 1:
-        raise ValidationError("stride must be at least 1")
-    if window < 1:
-        raise ValidationError("window must be at least 1")
+def _check_counts(max_steps, stride, tol_conv, window) -> tuple[int, int, int]:
+    """The checked ``(max_steps, stride, window)``; ``tol_conv`` is checked too."""
     # 0 is allowed: it switches the convergence stop off.
     if check_number("tol_conv", tol_conv, positive=False) < 0:
         raise ValidationError(f"tol_conv must be non-negative, got {tol_conv}")
+    return (
+        check_count("max_steps", max_steps),
+        check_count("stride", stride),
+        check_count("window", window),
+    )
 
 
 def run(
@@ -73,15 +73,11 @@ def run(
     ``tol_conv`` for ``window`` consecutive steps, divergence, or ``max_steps``.
 
     Only every ``stride``-th state and the last one are stored."""
-    xi0 = np.asarray(xi0, dtype=float).reshape(-1)
-    if xi0.shape[0] != sys.n_agents:
-        raise ValidationError(
-            f"initial opinions have length {xi0.shape[0]}, expected {sys.n_agents}"
-        )
-    _check_counts(max_steps, stride, tol_conv, window)
+    xi0 = as_vector(xi0, "initial opinions", sys.n_agents)
+    max_steps, stride, window = _check_counts(max_steps, stride, tol_conv, window)
     M = sys.iteration_matrix()
     xis, ks, stop_reason = _kernels.iterate(
-        lambda x: M @ x, xi0, int(max_steps), tol_conv, window, OVERFLOW_GUARD, stride
+        lambda x: M @ x, xi0, max_steps, tol_conv, window, OVERFLOW_GUARD, stride
     )
     return _package(xis, ks, stop_reason)
 
@@ -102,17 +98,12 @@ def run_multi_issue(
     if sys.mids is None:
         raise ValidationError("system has no issue-coupling matrix")
     n, m = sys.n_agents, sys.n_issues
-    xi0 = np.asarray(xi0, dtype=float).reshape(-1)
-    if xi0.shape[0] != n * m:
-        raise ValidationError(
-            f"initial opinions have length {xi0.shape[0]}, expected {n * m} "
-            f"({n} agents x {m} issues)"
-        )
-    _check_counts(max_steps, stride, tol_conv, window)
+    xi0 = as_vector(xi0, "initial opinions", n * m)
+    max_steps, stride, window = _check_counts(max_steps, stride, tol_conv, window)
     M = sys.iteration_matrix()
     Ct = np.ascontiguousarray(sys.mids.T)
     states, ks, stop_reason = _kernels.iterate(
-        lambda X: (M @ X) @ Ct, xi0.reshape(n, m), int(max_steps), tol_conv, window,
+        lambda X: (M @ X) @ Ct, xi0.reshape(n, m), max_steps, tol_conv, window,
         OVERFLOW_GUARD, stride,
     )
     return _package(states.reshape(states.shape[0], n * m), ks, stop_reason)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousSpectrumError, NumericalError, ValidationError
-from .netcore import TOL_STRUCT, SystemSpec, appraisal_kind, as_matrix, check_number
+from .netcore import TOL_STRUCT, SystemSpec, appraisal_kind, as_matrix, as_vector, check_number
 
 logger = logging.getLogger(__name__)
 
@@ -196,11 +196,7 @@ def predict_limit(
 ) -> LimitPrediction:
     """Steady-state opinion vector from the unit-eigenvalue projector."""
     tol_eig = _check_tol(tol_eig)
-    xi0 = np.asarray(xi0, dtype=float).reshape(-1)
-    if xi0.shape[0] != sys.n_agents:
-        raise ValidationError(
-            f"initial opinions have length {xi0.shape[0]}, expected {sys.n_agents}"
-        )
+    xi0 = as_vector(xi0, "initial opinions", sys.n_agents)
     if report is None:
         report = classify_system(sys, tol_eig=tol_eig)
     if report.classification not in (CONSENSUS, CONVERGENCE):

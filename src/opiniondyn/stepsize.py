@@ -40,6 +40,7 @@ logger = logging.getLogger(__name__)
 ENDPOINT_TOL = 1e-9
 RHO_MAX_CAP = 100.0
 SCAN_CELLS = 2**15
+MAX_GRID_POINTS = 10**6  # the default grid at RHO_MAX_CAP has 10**5
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class FeasibleRegion:
                 raise ValidationError("intervals must be disjoint and sorted")
         object.__setattr__(self, "intervals", ivals)
 
-    def contains(self, rho: float, margin: float = 0.0) -> bool:
-        return any(a + margin < rho < b - margin for a, b in self.intervals)
+    def contains(self, rho: float) -> bool:
+        return any(a < rho < b for a, b in self.intervals)
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,7 +195,8 @@ def magnitude_samples(
     ``grid_step, 2*grid_step, ...`` up to ``rho_max`` (one point, ``rho_max``
     itself, when ``rho_max < grid_step``), the worst magnitude at each point,
     the distinct spectrum values that were scanned (see
-    :func:`_scan_spectrum`), and the checked ``eps``.
+    :func:`_scan_spectrum`), and the checked ``eps``.  A grid of more than
+    ``MAX_GRID_POINTS`` points is rejected before it is built.
     """
     grid_step = check_number("grid_step", grid_step)
     if rho_max is not None:
@@ -206,7 +208,13 @@ def magnitude_samples(
         # The fixed-eps iteration is affine in rho through the shifted
         # spectrum, so the cap must come from that spectrum.
         rho_max = default_rho_max(lams if eps is None else lams - eps * lams * lams)
-    count = max(1, int(np.floor(rho_max / grid_step + 1e-9)))
+    points = np.floor(rho_max / grid_step + 1e-9)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid_step {grid_step} puts {points:.4g} points up to rho_max {rho_max}; "
+            f"at most {MAX_GRID_POINTS} are scanned"
+        )
+    count = max(1, int(points))
     rhos = np.minimum(grid_step * np.arange(1, count + 1), rho_max)
     mags = scan_magnitude(rhos, lams, eps)
     return rhos, mags, lams, eps, float(rho_max)
@@ -516,7 +524,7 @@ def hb_step_check(L, rho: float) -> StepSizeDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def bilinear_transform(s_coeffs, degree: int | None = None) -> np.ndarray:
+def bilinear_transform(s_coeffs) -> np.ndarray:
     """Map a degree-d polynomial S through z -> (z+1)/(z-1), clearing denominators.
 
     Returns the ascending coefficients of Q(z) = (z-1)^d * S((z+1)/(z-1));
@@ -527,8 +535,6 @@ def bilinear_transform(s_coeffs, degree: int | None = None) -> np.ndarray:
     if c.ndim != 1 or c.size == 0:
         raise ValidationError("expected a nonempty 1-D coefficient array")
     d = c.size - 1
-    if degree is not None and int(degree) != d:
-        raise ValidationError(f"declared degree {degree} != coefficient degree {d}")
     if abs(c[-1]) == 0.0:
         raise ValidationError("zero leading coefficient")
     plus = [np.array([1.0 + 0j])]

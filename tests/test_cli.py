@@ -186,6 +186,13 @@ class TestAnalyze:
         assert all(len(pair) == 2 for pair in doc["eigenvalues"])
         assert doc["phi"] == pytest.approx([11.25, 11.25, 11.25], abs=1e-9)
 
+    def test_out_creates_its_directory(self, system_files, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "report.json"
+        code = main(["analyze", "--system", str(system_files["example1"]), "--out", str(out)])
+        assert code == 0
+        main(["analyze", "--system", str(system_files["example1"])])
+        assert out.read_text() == capsys.readouterr().out
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "--system", "no-such-file.json"]) == 2
         assert "no-such-file.json" in capsys.readouterr().err
@@ -380,6 +387,7 @@ class TestStepsize:
         ["--grid", "inf"],
         ["--grid", "nan"],
         ["--grid", "0"],
+        ["--grid", "1e-7", "--rho-max", "1"],
         ["--rho-max", "-1"],
         ["--rho-max", "0"],
         ["--rho-max", "nan"],

@@ -150,7 +150,9 @@ class TestScenarios:
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1},
         {"seed": 1.5},
+        {"seed": True},
         {"m": 2.0},
+        {"m": True},
         {"m": 2**32 + 1},
         {"box": float("nan")},
         {"box": float("inf")},
@@ -479,6 +481,8 @@ class TestSampleBound:
         with pytest.raises(ValidationError):
             SampleBoundQuery(d=0, epsilon=0.1, beta=0.1)
         with pytest.raises(ValidationError):
+            SampleBoundQuery(d=True, epsilon=0.1, beta=0.1)
+        with pytest.raises(ValidationError):
             SampleBoundQuery(d=1, epsilon=1.5, beta=0.1)
         with pytest.raises(ValidationError):
             SampleBoundQuery(d=1, epsilon=0.1, beta=0.0)
@@ -534,7 +538,8 @@ class TestViolation:
         res = solve_estimation(draw_scenarios(truth, 4, 0), truth.lam, truth.laplacian)
         with pytest.raises(ValidationError):
             empirical_violation(res, truth, trials=0, seed=1)
-        for kwargs in ({"trials": 2.0, "seed": 1}, {"trials": 2, "seed": -1},
+        for kwargs in ({"trials": 2.0, "seed": 1}, {"trials": True, "seed": 1},
+                       {"trials": 2, "seed": -1},
                        {"trials": 2, "seed": 1, "box": float("nan")}):
             with pytest.raises(ValidationError):
                 empirical_violation(res, truth, **kwargs)

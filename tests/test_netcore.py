@@ -13,7 +13,9 @@ from opiniondyn.netcore import (
     SystemSpec,
     abs_matrix,
     appraisal_kind,
+    as_vector,
     check_appraisal,
+    check_count,
     check_laplacian,
     check_stochastic,
     has_spanning_tree,
@@ -289,6 +291,21 @@ class TestValidators:
         with pytest.raises(ValidationError):
             SystemSpec(np.array([1.0, 0.0, 1.0, 1.0]), L, np.eye(4)).validate_structure()
         SystemSpec(np.array([-1.5, 2.0, 1.0, -0.5]), L, np.eye(4)).validate_structure()
+
+    def test_counts_are_integers_at_or_above_the_floor(self):
+        assert check_count("c", np.int64(3)) == 3 and type(check_count("c", np.int64(3))) is int
+        assert check_count("c", 0, low=0) == 0
+        for bad in (0, -1, 2.0, 2.5, True, np.float64(2.0), "2", None):
+            with pytest.raises(ValidationError, match="^c must be an integer >= 1"):
+                check_count("c", bad)
+
+    def test_vector_length_and_finiteness(self):
+        assert as_vector([[1.0], [2.0]], "v", size=2).tolist() == [1.0, 2.0]
+        with pytest.raises(ValidationError, match="^v have length 3, expected 2$"):
+            as_vector([1.0, 2.0, 3.0], "v", size=2)
+        for bad in ([], [1.0, np.nan], [np.inf]):
+            with pytest.raises(ValidationError):
+                as_vector(bad, "v")
 
 
 def _system_doc(**fields) -> dict:

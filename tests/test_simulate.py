@@ -137,12 +137,16 @@ class TestRun:
     def test_dimension_validation(self, example1):
         with pytest.raises(ValidationError):
             run(example1.system, [1.0, 2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                run(example1.system, [1.0, bad, 2.0])
         with pytest.raises(ValidationError):
             run(example1.system, example1.x0, stride=0)
 
     @pytest.mark.parametrize("kw", [
         {"tol_conv": np.nan}, {"tol_conv": -1.0}, {"tol_conv": np.inf},
-        {"window": 0}, {"window": -2},
+        {"window": 0}, {"window": -2}, {"window": 2.5}, {"window": True},
+        {"stride": 2.5}, {"stride": True}, {"max_steps": 2.5}, {"max_steps": True},
     ])
     def test_stop_rule_inputs_are_checked(self, example1, sec5_coop, kw):
         with pytest.raises(ValidationError):
@@ -229,6 +233,11 @@ class TestMultiIssue:
             run_multi_issue(sec5_coop.with_mids(), np.zeros(4))
         with pytest.raises(ValidationError):
             run_multi_issue(sec5_coop.system, np.zeros(8))
+        for bad in (np.nan, -np.inf):
+            x0 = fx.X0_MULTI.copy()
+            x0[3] = bad
+            with pytest.raises(ValidationError):
+                run_multi_issue(sec5_coop.with_mids(), x0)
         with pytest.raises(ValidationError):
             run_multi_issue(sec5_coop.with_mids(), fx.X0_MULTI, stride=0)
 

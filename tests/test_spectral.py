@@ -319,6 +319,11 @@ class TestPredictLimit:
         traj = run(example1.system, example1.x0, max_steps=200, tol_conv=1e-14)
         np.testing.assert_allclose(traj.final, pred.phi, atol=1e-6)
 
+    @pytest.mark.parametrize("x0", [[np.nan, 1.0, 2.0], [1.0, np.inf, 2.0], [1.0, 2.0]])
+    def test_rejects_bad_starts(self, example1, x0):
+        with pytest.raises(ValidationError):
+            predict_limit(example1.system, x0)
+
     def test_refuses_divergent_systems(self):
         spec = SystemSpec([5.0, 5.0], [[1.0, -1.0], [-1.0, 1.0]], np.eye(2))
         with pytest.raises(ValidationError):

@@ -447,6 +447,8 @@ class TestStepCertificate:
     lambda: magnitude_samples(L2, rho_max=np.nan),
     lambda: magnitude_samples(L2, rho_max=-1.0),
     lambda: magnitude_samples(L2, eps=np.nan),
+    lambda: magnitude_samples(L2, grid_step=1e-7, rho_max=1.0),
+    lambda: magnitude_samples(L2, grid_step=1e-300, rho_max=1e300),
     lambda: feasible_rho_direct(L2, rho_max=0.0),
     lambda: feasible_rho_direct(L2, rho_max=np.inf),
     lambda: feasible_rho_direct(L2, grid_step=-1e-3),
@@ -463,6 +465,16 @@ class TestStepCertificate:
 def test_step_size_routes_reject_bad_input(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_grid_point_count_is_capped(monkeypatch):
+    # lam = 0.01 puts the default rho_max at RHO_MAX_CAP: the default grid
+    # there has 10**5 points.
+    assert magnitude_samples(0.005 * L2)[0].size == 10**5
+    monkeypatch.setattr(stepsize, "MAX_GRID_POINTS", 10)
+    assert magnitude_samples(L2, grid_step=0.1, rho_max=1.0)[0].size == 10
+    with pytest.raises(ValidationError, match="at most 10"):
+        magnitude_samples(L2, grid_step=0.1, rho_max=1.1)
 
 
 @pytest.mark.parametrize("as_input", [np.array, list], ids=["ndarray", "list"])
@@ -593,8 +605,6 @@ class TestBilinear:
     def test_rejects_zero_leading_coefficient(self):
         with pytest.raises(ValidationError):
             bilinear_transform([1.0, 0.0])
-        with pytest.raises(ValidationError):
-            bilinear_transform([1.0, 2.0], degree=2)
 
 
 def _roots(coeffs):
