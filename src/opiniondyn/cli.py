@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
         traj = sim.run(spec, x0, max_steps=args.steps, tol_conv=args.tol, window=args.window)
     else:
         raise ValidationError(
-            f"initial opinions have length {x0.size}; expected {n} (issue-free)"
+            f"--x0 has {x0.size} values; expected {n} (issue-free)"
             + (f" or {n * ni} (multi-issue)" if spec.mids is not None else "")
         )
     _write_trajectory_csv(Path(args.out), traj)
