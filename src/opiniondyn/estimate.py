@@ -230,6 +230,7 @@ def grow_sample_estimate(
     prefix-stable.
     """
     gamma0 = check_number("gamma0", gamma0)
+    check_count("m_cap", m_cap)
     _check_draw(seed, m_cap, box, noise)
     if check_count("m0", m0) > m_cap:
         raise ValidationError(f"need m0 <= m_cap, got m0={m0} and m_cap={m_cap}")

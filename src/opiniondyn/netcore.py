@@ -26,9 +26,16 @@ COOPERATIVE = "cooperative"
 ANTAGONISTIC = "antagonistic"
 
 
+def _as_array(values, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite, square, float64 2-D array."""
-    M = np.array(values, dtype=float)
+    M = _as_array(values, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {M.shape}")
     if M.shape[0] == 0:
@@ -41,7 +48,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def as_vector(values, name: str = "vector", size: int | None = None) -> np.ndarray:
     """Coerce to a finite, nonempty, flat float64 array, of length ``size``
     when it is given."""
-    v = np.array(values, dtype=float).reshape(-1)
+    v = _as_array(values, name).reshape(-1)
     if size is not None and v.size != size:
         raise ValidationError(f"{name} have length {v.size}, expected {size}")
     if v.size == 0:
@@ -250,6 +257,10 @@ class SystemSpec:
 
     def __post_init__(self):
         lam = as_vector(self.lam, "lambda")
+        if np.ndim(self.lam) > 1:
+            raise ValidationError(
+                f"lambda must be one-dimensional, got shape {np.shape(self.lam)}"
+            )
         L = as_matrix(self.laplacian, "laplacian")
         D = as_matrix(self.appraisal, "appraisal")
         n = lam.shape[0]
@@ -303,18 +314,16 @@ class SystemSpec:
         for key in ("lambda", "laplacian", "appraisal"):
             if key not in doc:
                 raise ValidationError(f"system document is missing field {key!r}")
-        mids = doc.get("mids")
-        if mids is not None and "n_issues" in doc:
-            if int(doc["n_issues"]) != len(mids):
-                raise ValidationError(
-                    f"n_issues={doc['n_issues']} does not match mids dimension {len(mids)}"
-                )
         spec = cls(
             lam=doc["lambda"],
             laplacian=doc["laplacian"],
             appraisal=doc["appraisal"],
-            mids=mids,
+            mids=doc.get("mids"),
         )
+        if "n_issues" in doc and check_count("n_issues", doc["n_issues"]) != spec.n_issues:
+            raise ValidationError(
+                f"n_issues={doc['n_issues']} does not match the system's {spec.n_issues} issue(s)"
+            )
         spec.validate_structure()
         return spec
 

@@ -219,12 +219,23 @@ class TestAnalyze:
         ("appraisal", [[0.4, -0.4], [0.3, 0.3]],
          "antagonistic appraisal rows must have absolute sum exactly 1"),
         ("lambda", [1.0, 0.0], "susceptibility factors must be nonzero"),
+        ("lambda", ["x", 1.0], "lambda must be a rectangular array of numbers"),
+        ("lambda", [10**400, 1.0], "lambda must be a rectangular array of numbers"),
+        ("lambda", [[1.0], [1.0]], "lambda must be one-dimensional, got shape (2, 1)"),
+        ("laplacian", [[1.0, -1.0], [-1.0]], "laplacian must be a rectangular array of numbers"),
+        ("appraisal", {"a": 1}, "appraisal must be a rectangular array of numbers"),
+        ("n_issues", "x", "n_issues must be an integer >= 1, got 'x'"),
+        ("n_issues", 1.5, "n_issues must be an integer >= 1, got 1.5"),
+        ("n_issues", 2, "n_issues=2 does not match the system's 1 issue(s)"),
+        ("mids", 3, "issue coupling must be square, got shape ()"),
     ])
     def test_structural_error_exit_code(self, tmp_path, capsys, field, value, message):
         doc = {
             "lambda": [1.0, 1.0],
             "laplacian": [[1.0, -1.0], [-1.0, 1.0]],
             "appraisal": [[0.5, 0.5], [0.5, 0.5]],
+            "mids": [[1.0]],
+            "n_issues": 1,
         }
         doc[field] = value
         bad = tmp_path / "bad.json"
@@ -267,6 +278,19 @@ class TestSimulate:
             captured = capsys.readouterr()
             assert captured.out == "" and "error:" in captured.err
             assert not out.exists()
+
+    def test_malformed_system_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "lambda": ["x", 1.0, 1.0],
+            "laplacian": fx.EXAMPLE1_LAPLACIAN.tolist(),
+            "appraisal": fx.EXAMPLE1_APPRAISAL.tolist(),
+        }))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--system", str(bad), "--x0", "25,75,85", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: lambda must be a rectangular array of numbers\n"
+        assert not out.exists()
 
 
 class TestStepsize:
@@ -451,6 +475,27 @@ class TestEstimateAndBounds:
                      "--gamma0", "1e-12", "--cap", "3", "--out", str(out)])
         assert code == 2
         assert "m0 <= m_cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_cap_below_one_names_the_cap(self, tmp_path, capsys):
+        truth_path = tmp_path / "truth.json"
+        fx.fixture("sec5-coop").system.save_json(truth_path)
+        out = tmp_path / "result.json"
+        code = main(["estimate", "--system", str(truth_path), "--gamma0", "1e-12",
+                     "--cap", "0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: m_cap must be an integer >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_estimate_malformed_system_exit_code(self, tmp_path, capsys):
+        doc = fx.fixture("sec5-coop").system.to_json_dict()
+        doc["appraisal"] = {"a": 1}
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps(doc))
+        out = tmp_path / "result.json"
+        code = main(["estimate", "--system", str(truth_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: appraisal must be a rectangular array of numbers\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [

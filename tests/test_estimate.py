@@ -414,6 +414,9 @@ class TestGrowthLoop:
             grow_sample_estimate(sec5_coop.system, 0.0)
         with pytest.raises(ValidationError):
             grow_sample_estimate(sec5_coop.system, 1e-6, m0=7, m_cap=3)
+        for cap in (0, 2.5, True):
+            with pytest.raises(ValidationError, match="^m_cap must be an integer >= 1"):
+                grow_sample_estimate(sec5_coop.system, 1e-6, m_cap=cap)
 
 
 class TestSampleBound:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opiniondyn import _kernels as k
+from opiniondyn import simulate as k
 from opiniondyn.stepsize import SCAN_CELLS, scan_magnitude
 
 # Scripted steps count steps in units of TINY, far below any tolerance.
@@ -66,9 +66,14 @@ def _iterate_loop(step, x0, max_steps, tol_conv, window, guard, stride):
     return np.stack(rows), np.array(ks), status
 
 
+def _unpack(traj, x0):
+    """The kernel's kept states in ``x0``'s shape, its ``ks`` and status."""
+    return traj.xi_series.reshape(-1, *np.shape(x0)), traj.ks, traj.stop_reason
+
+
 def _assert_matches_loop(step, x0, *args):
     """The kernel's rows, ``ks`` and status are bitwise those of the loop."""
-    rows, ks, status = k.iterate(step, x0, *args)
+    rows, ks, status = _unpack(k.iterate(step, x0, *args), x0)
     ref_rows, ref_ks, ref_status = _iterate_loop(step, x0, *args)
     assert rows.shape == ref_rows.shape and rows.tobytes() == ref_rows.tobytes()
     assert ks.dtype == ref_ks.dtype and ks.tolist() == ref_ks.tolist()
@@ -97,7 +102,7 @@ def _converging_at(stop, window, max_steps, after=BIG):
 
 def _iterate_all(step, x0, *args):
     """Run the kernel keeping every state (stride 1)."""
-    xs, ks, st = k.iterate(step, x0, *args, 1)
+    xs, ks, st = _unpack(k.iterate(step, x0, *args, 1), x0)
     np.testing.assert_array_equal(ks, np.arange(len(xs)))
     return xs, st
 
@@ -300,8 +305,10 @@ def test_overflow_past_the_stop_is_silent():
     M = np.array([[1e200, 1e200], [1e200, -1e200]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, ks, status = k.iterate(_scripted_step(incs), np.zeros(2), 100, 0.5, 10, 1e12, 1)
+        traj = k.iterate(_scripted_step(incs), np.zeros(2), 100, 0.5, 10, 1e12, 1)
+        rows, ks, status = _unpack(traj, np.zeros(2))
         assert (status, int(ks[-1]), np.isfinite(rows).all()) == (k.CONVERGED, 40, True)
-        rows, ks, status = k.iterate(lambda x: M @ x, np.ones(2), 100, 1e-8, 3, 1e300, 1)
+        traj = k.iterate(lambda x: M @ x, np.ones(2), 100, 1e-8, 3, 1e300, 1)
+        rows, ks, status = _unpack(traj, np.ones(2))
         assert (status, ks.tolist()) == (k.DIVERGED, [0, 1, 2])
         assert not np.isfinite(rows[-1]).all()

@@ -306,6 +306,9 @@ class TestValidators:
         for bad in ([], [1.0, np.nan], [np.inf]):
             with pytest.raises(ValidationError):
                 as_vector(bad, "v")
+        for bad in (["x"], [[1.0], [2.0, 3.0]], {"a": 1}, [10**400]):
+            with pytest.raises(ValidationError, match="^v must be a rectangular array of numbers$"):
+                as_vector(bad, "v")
 
 
 def _system_doc(**fields) -> dict:
@@ -421,6 +424,11 @@ class TestSystemSpecAndFiles:
         }
         with pytest.raises(ValidationError, match="n_issues"):
             SystemSpec.from_json_dict(doc)
+        for bad in ("x", 2.7, True):
+            with pytest.raises(ValidationError, match="^n_issues must be an integer >= 1"):
+                SystemSpec.from_json_dict({**doc, "n_issues": bad})
+        with pytest.raises(ValidationError, match="n_issues=2 does not match"):
+            SystemSpec.from_json_dict({**doc, "mids": None, "n_issues": 2})
 
     def test_iteration_matrix(self, example1):
         M = example1.system.iteration_matrix()
