@@ -3,12 +3,13 @@ reproduce, fixtures.
 
 Exit codes: 0 success, 2 validation failure (bad files, flags, or matrix
 structure), 3 numerical failure.  The OPINION_LOG environment variable
-(error, info, debug) controls verbosity.
+(error, info, debug) controls verbosity; each ``main`` call reads it again.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -57,11 +58,30 @@ class RunReport:
         }
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is emitted,
+    so a redirected or replaced stderr gets the lines of the call it wraps."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_log_handler = _StderrHandler()
+_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging() -> None:
+    """Apply OPINION_LOG to the package's logger; the host's root logger is left alone."""
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("OPINION_LOG", "error").strip().lower(), logging.ERROR
     )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    package = logging.getLogger(__package__)
+    package.setLevel(level)
+    package.addHandler(_log_handler)  # a no-op once the handler is attached
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -154,7 +174,7 @@ def _cmd_stepsize(args) -> int:
         variant = "corrected" if args.method == "cubic" else "paper"
         region = stepsize.feasible_rho_cubic(L, variant=variant, rho_max=args.rho_max)
         doc = region.to_json_dict()
-    elif args.method == "hb":
+    else:  # hb; argparse's choices admit no other method
         diag = stepsize.hb_step_check(L, args.rho)
         doc = {
             "method": "theorem_hb",
@@ -163,8 +183,6 @@ def _cmd_stepsize(args) -> int:
             "direct_verdict": diag.direct_verdict,
             "magnitudes": diag.magnitudes.tolist(),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown method {args.method!r}")
 
     if samples is None:
         samples = stepsize.magnitude_samples(
@@ -355,7 +373,11 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: ``parse_args`` makes a fresh namespace each time, and every
+    default is a constant."""
     parser = argparse.ArgumentParser(
         prog="opiniondyn",
         description="Two-network opinion dynamics: analysis, simulation, and estimation.",

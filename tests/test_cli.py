@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -585,6 +586,70 @@ class TestReproduce:
         assert "consensus-inside-hull" in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["reproduce", "not-a-figure", "--out-dir", str(tmp_path)])
+
+
+class TestRepeatedCalls:
+    """One process, many ``main`` calls: each must act as the first call of a fresh process."""
+
+    SEQUENCE = [
+        ["reproduce", "fig5", "--out-dir", "{out}"],
+        ["samplebound", "--agents", "4", "--eps", "0.1", "--beta", "0.01"],
+        ["samplebound", "--dim", "16", "--eps", "0.1", "--beta", "0.01", "--formula", "paper"],
+        ["samplebound", "--agents", "2", "--dim", "3", "--eps", "0.1", "--beta", "0.01"],
+        ["stepsize", "--laplacian", "{lap}", "--method", "direct", "--eps", "0.01",
+         "--out-dir", "{out}"],
+        ["stepsize", "--laplacian", "{lap}", "--method", "direct", "--out-dir", "{out}"],
+        ["analyze", "--system", "{example1}", "--x0", "25,75,85"],
+    ]
+
+    @staticmethod
+    def _call(argv, out_dir, system_files, capsys):
+        """Exit code, stdout, stderr and the files written by one call, which are then removed."""
+        paths = {"{out}": str(out_dir), **{f"{{{k}}}": str(v) for k, v in system_files.items()}}
+        try:
+            code = main([paths.get(a, a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        files = {}
+        for f in sorted(out_dir.iterdir()):
+            files[f.name] = f.read_bytes()
+            f.unlink()
+        return code, captured.out, captured.err, files
+
+    def test_consecutive_calls_match_first_calls(self, system_files, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        first = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            first.append(self._call(argv, out_dir, system_files, capsys))
+        build_parser.cache_clear()
+        for argv, expected in zip(self.SEQUENCE, first):
+            assert self._call(argv, out_dir, system_files, capsys) == expected, argv
+        assert build_parser.cache_info().misses == 1
+        assert [r[0] for r in first] == [0, 0, 0, 2, 0, 0, 0]
+        assert all(r[3] for r in first[4:6]) and first[4][3] != first[5][3]
+
+    def test_each_call_logs_to_its_own_stderr_at_its_own_level(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        truth = tmp_path / "truth.json"
+        fx.fixture("sec5-coop").system.save_json(truth)
+        root = logging.getLogger()
+        root_state = (root.level, list(root.handlers))
+        errs = []
+        for level in ("debug", "debug", "error"):
+            monkeypatch.setenv("OPINION_LOG", level)
+            assert main(["estimate", "--system", str(truth), "--samples", "2",
+                         "--gamma0", "1e-12", "--out", str(tmp_path / "r.json")]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs[0].startswith("INFO opiniondyn.estimate: estimation regressor rank 6 < 16")
+        assert all(line.startswith(("INFO opiniondyn.", "DEBUG opiniondyn."))
+                   for line in errs[0].splitlines())
+        assert errs[1] == errs[0]
+        assert errs[2] == ""
+        assert (root.level, list(root.handlers)) == root_state
 
 
 def _run_module(*args: str) -> subprocess.CompletedProcess:
