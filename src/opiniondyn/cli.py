@@ -377,7 +377,7 @@ def _cmd_reproduce(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     ``main`` call: ``parse_args`` makes a fresh namespace each time, and every
-    default is a constant."""
+    default is a constant.  Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="opiniondyn",
         description="Two-network opinion dynamics: analysis, simulation, and estimation.",
